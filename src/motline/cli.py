@@ -25,7 +25,6 @@ from .jsonio import (
     coupling_to_dict,
     load_coupling,
     load_measure,
-    measure_to_dict,
 )
 from .lab import continuity_sweep, example1_family1, example1_family2, projection_stability
 from .lp import enable_debug_dump
@@ -376,7 +375,7 @@ def main(argv: Optional[list] = None) -> int:
         # argparse exits with 2 on usage errors, matching the parse exit code
         return int(exc.code or 0)
     if args.debug_lp:
-        enable_debug_dump(args.debug_lp)
+        previous_dump = enable_debug_dump(args.debug_lp)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -394,6 +393,9 @@ def main(argv: Optional[list] = None) -> int:
     except MotlineError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    finally:
+        if args.debug_lp:
+            enable_debug_dump(previous_dump)
 
 
 if __name__ == "__main__":

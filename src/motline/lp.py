@@ -24,10 +24,14 @@ _DEGENERATE_SWITCH = 40  # consecutive degenerate pivots before Bland's rule kic
 _debug_dump_path = None
 
 
-def enable_debug_dump(path) -> None:
-    """Append every solve's terminal tableau to ``path`` (None disables)."""
+def enable_debug_dump(path):
+    """Append every solve's terminal tableau to ``path`` (None disables).
+
+    Returns the previous path, so a caller can restore it when done.
+    """
     global _debug_dump_path
-    _debug_dump_path = path
+    previous, _debug_dump_path = _debug_dump_path, path
+    return previous
 
 
 def _dump_tableau(tableau: np.ndarray, basis: np.ndarray, label: str) -> None:

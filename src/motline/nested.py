@@ -14,10 +14,7 @@ from .lp import LinearProgram, solve_lp
 from .measures import (
     DEFAULT_TOL_MART,
     DiscreteCoupling,
-    DiscreteMeasure,
     barycentre_report,
-    convex_order,
-    identity_coupling,
     make_coupling,
 )
 from .transport import TransportPlan, _require_p, optimal_coupling_1d, solve_transport, w_p_1d
@@ -91,99 +88,77 @@ class ProjectionResult:
 
 
 def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
-    """Joint LP over inner plans and target coupling for a fixed outer pairing.
+    """Projection LP in cumulative-distribution form for a fixed outer pairing.
 
     ``pairing[i]`` is the target-side row matched with source kernel i; the
     identity pairing yields the diagonal-restricted projection.  Requires the
-    matched first-marginal masses to agree.  Returns (inner objective value,
-    target masses, inner plan masses) or raises ConvexOrderError when the
-    martingale polytope is empty.
+    matched first-marginal masses to agree.
+
+    Every kernel lives on the atoms y_0 < ... < y_{k-1} of the second
+    marginal, and on the line W1 is the integral of |F - G|, so the inner cost
+    of kernel i against target row r = pairing[i] is
+    sum_b (y_{b+1} - y_b) |F_i(b) - T_r(b)|, with F_i and T_r the cumulative
+    joint masses.  The variables are the target masses t[r, b] (m * k) and
+    epigraph pairs e+[i, b], e-[i, b] for b < k - 1 (2 * m * (k - 1)); none
+    depends on the number of support points.  The rows are
+    T_r(b) + e+[i, b] - e-[i, b] = F_i(b), the target row sums mu_r, the
+    column sums nu_b and the m martingale rows.  Returns (inner objective
+    value, target masses) or raises ConvexOrderError when the martingale
+    polytope is empty.
     """
     mu = pi.first_marginal
     nu = pi.second_marginal
     m, k = len(mu), len(nu)
     if pairing is None:
         pairing = list(range(m))
-    items = pi.kernel_items()
-    supports = [kernel.atoms for _, _, kernel in items]
-    joint = [weight * kernel.weights for _, weight, kernel in items]
+    cdf = np.zeros((m, k))
+    for i, (_, weight, kernel) in enumerate(pi.kernel_items()):
+        cdf[i, np.searchsorted(nu.atoms, kernel.atoms)] = weight * kernel.weights
+    cdf = np.cumsum(cdf, axis=1)[:, : k - 1]
 
-    offsets, n_rho = [], 0
-    for sup in supports:
-        offsets.append(n_rho)
-        n_rho += len(sup) * k
-    tgt0 = n_rho
-    n_vars = n_rho + m * k
-
-    def rho_var(i, a, b):
-        return offsets[i] + a * k + b
-
-    def tgt_var(r, b):
-        return tgt0 + r * k + b
-
-    rows, rhs = [], []
-    # inner source marginals: each (x1_i, x2_a) mass of pi is distributed over y2
-    for i, sup in enumerate(supports):
-        for a in range(len(sup)):
-            row = np.zeros(n_vars)
-            row[rho_var(i, a, 0) : rho_var(i, a, 0) + k] = 1.0
-            rows.append(row)
-            rhs.append(joint[i][a])
-    # inner target marginals tie the plans to the target coupling rows
-    for i, sup in enumerate(supports):
-        r = pairing[i]
-        for b in range(k):
-            row = np.zeros(n_vars)
-            for a in range(len(sup)):
-                row[rho_var(i, a, b)] = 1.0
-            row[tgt_var(r, b)] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    # target second marginal
-    for b in range(k):
-        row = np.zeros(n_vars)
-        for r in range(m):
-            row[tgt_var(r, b)] = 1.0
-        rows.append(row)
-        rhs.append(nu.weights[b])
-    # martingale constraints on the target
+    # lengths in units of the second marginal's span: the LP is homogeneous
+    # in scale, and the simplex tolerances are absolute
+    span = float(nu.atoms[-1] - nu.atoms[0]) if k > 1 else 1.0
+    n_tgt, n_gap = m * k, m * (k - 1)
+    a_eq = np.zeros((n_gap + 2 * m + k, n_tgt + 2 * n_gap))
+    # cumulative rows: T_r(b) + e+[i, b] - e-[i, b] = F_i(b)
+    prefix = np.tril(np.ones((k - 1, k)))
+    for i, r in enumerate(pairing):
+        rows = i * (k - 1) + np.arange(k - 1)
+        a_eq[rows, r * k : (r + 1) * k] = prefix
+        a_eq[rows, n_tgt + rows] = 1.0
+        a_eq[rows, n_tgt + n_gap + rows] = -1.0
+    # target row sums, column sums and martingale rows
     for r in range(m):
-        row = np.zeros(n_vars)
-        for b in range(k):
-            row[tgt_var(r, b)] = nu.atoms[b] - mu.atoms[r]
-        rows.append(row)
-        rhs.append(0.0)
+        a_eq[n_gap + r, r * k : (r + 1) * k] = 1.0
+        a_eq[n_gap + m + k + r, r * k : (r + 1) * k] = (nu.atoms - mu.atoms[r]) / span
+    for b in range(k):
+        a_eq[n_gap + m + b, b:n_tgt:k] = 1.0
+    b_eq = np.concatenate([cdf.ravel(), mu.weights, nu.weights, np.zeros(m)])
+    objective = np.concatenate([np.zeros(n_tgt), np.tile(np.diff(nu.atoms) / span, 2 * m)])
 
-    objective = np.zeros(n_vars)
-    for i, sup in enumerate(supports):
-        for a, x2 in enumerate(sup):
-            for b, y2 in enumerate(nu.atoms):
-                objective[rho_var(i, a, b)] = abs(x2 - y2)
-
-    sol = solve_lp(LinearProgram(objective=objective, a_eq=np.array(rows), b_eq=np.array(rhs)))
+    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq))
     if sol.status == "infeasible":
         raise ConvexOrderError("martingale polytope is empty: marginals not in convex order")
     if sol.status != "optimal":
         raise InternalError(f"projection LP reported {sol.status}")
-    target = sol.x[tgt0:].reshape(m, k)
-    rho = [sol.x[offsets[i] : offsets[i] + len(supports[i]) * k].reshape(len(supports[i]), k)
-           for i in range(m)]
-    return sol.objective, target, rho
+    return span * sol.objective, sol.x[:n_tgt].reshape(m, k)
 
 
 def project_to_martingale(pi: DiscreteCoupling,
                           tol_mart: float = DEFAULT_TOL_MART) -> ProjectionResult:
     """Project a coupling onto the martingale couplings of its own marginals.
 
-    Solves a single LP over the target coupling and one inner transport plan
-    per first-coordinate atom, with the outer plan fixed to the identity
-    (legitimate since both couplings share the first marginal).  The returned
-    value is an upper value for the nested-distance projection; the exact
-    projection is sandwiched between ``lower_bound`` and ``value``.
+    Solves a single LP over the target coupling, with the outer plan fixed to
+    the identity (legitimate since both couplings share the first marginal)
+    and each inner W1 cost written through cumulative masses on the second
+    marginal's atoms (see ``_projection_lp``).  The returned value is an upper
+    value for the nested-distance projection; the exact projection is
+    sandwiched between ``lower_bound`` and ``value``.
     """
     mu = pi.first_marginal
     nu = pi.second_marginal
-    value, target, _ = _projection_lp(pi)
+    value, target = _projection_lp(pi)
     points = [(mu.atoms[r], nu.atoms[b], target[r, b])
               for r, b in zip(*np.nonzero(target > _DROP))]
     projected = make_coupling(points)
@@ -216,9 +191,6 @@ def project_bruteforce(pi: DiscreteCoupling) -> float:
     best = np.inf
     for perm in itertools.permutations(range(len(mu))):
         outer = float(np.dot(mu.weights, np.abs(mu.atoms - mu.atoms[list(perm)])))
-        try:
-            inner, _, _ = _projection_lp(pi, pairing=list(perm))
-        except ConvexOrderError:
-            raise
+        inner, _ = _projection_lp(pi, pairing=list(perm))
         best = min(best, outer + inner)
     return best

@@ -33,6 +33,7 @@ from .measures import (
     DiscreteCoupling,
     barycentre_report,
     convex_order,
+    is_martingale,
     make_coupling,
 )
 from .nested import BicausalPlan, project_to_martingale
@@ -370,9 +371,12 @@ def rearrange(pi: DiscreteCoupling, tol_mart: float = DEFAULT_TOL_MART) -> Rearr
     switch when one exists, otherwise a cascade along exchange tuples.  Both
     shrink the deviation, and the deviation classes only ever shrink, so the
     loop terminates; a generous safety cap of |supp|^3 iterations guards
-    against defects.  Any residual deviation at the end is removed by snapping
-    to the projection LP's martingale coupling, whose value is added to the
-    cost bound so the certificate stays valid.
+    against defects.  The loop stops on the weighted deviation, so a light
+    atom can still deviate by more than ``tol_mart`` on its own; only then is
+    the coupling snapped to the projection LP's martingale coupling, whose
+    value is added to the cost bound so the certificate stays valid.  A
+    coupling that already passes ``is_martingale`` at ``tol_mart`` is
+    returned as is, with ``snap_plan`` and ``presnap`` left as None.
     """
     mu = pi.first_marginal
     nu = pi.second_marginal
@@ -421,10 +425,9 @@ def rearrange(pi: DiscreteCoupling, tol_mart: float = DEFAULT_TOL_MART) -> Rearr
         raise InternalError("rearrangement exceeded the iteration safety cap")
 
     presnap = _state_coupling(mass)
-    final_eps = barycentre_report(presnap, tol_mart).epsilon
     snap_value = 0.0
     snap_plan = None
-    if final_eps > 0.0:
+    if not is_martingale(presnap, tol_mart):
         projection = project_to_martingale(presnap, tol_mart)
         output = projection.projected
         snap_value = projection.value

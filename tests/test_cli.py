@@ -192,3 +192,13 @@ def test_loaders_reject_nan(tmp_path):
     path.write_text('{"atoms": [0.0, NaN], "weights": [0.5, 0.5]}')
     with pytest.raises(ParseError):
         load_measure(str(path))
+
+
+def test_debug_lp_dump_ends_with_the_call(files, tmp_path):
+    dump = tmp_path / "tableaus.txt"
+    assert main(["--debug-lp", str(dump), "project", files["pi"]]) == 0
+    written = dump.read_text()
+    assert written
+    assert main(["project", files["pi"]]) == 0
+    project_to_martingale(load_coupling(files["pi"]))
+    assert dump.read_text() == written

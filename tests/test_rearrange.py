@@ -325,3 +325,36 @@ def test_switch_rejects_bad_arguments():
         switch_assignment(pi, 2.0, 0.0, 1.0, 2.0)  # (2.0, 1.0) carries no mass
     with pytest.raises(InputError):
         switch_assignment(pi, 2.0, 0.0, 0.0, 2.0, lam=0.75)  # exceeds donor mass
+
+
+def test_rearrange_skips_snap_on_martingale_output():
+    for seed in range(12):
+        mu, nu = random_convex_pair(seed + 40, m=2 + seed % 5, k=6 + seed % 3)
+        pi = random_coupling(seed + 41, mu, nu)
+        res = rearrange(pi)
+        assert res.snap_plan is None and res.presnap is None
+        assert res.snap_value == 0.0
+        assert is_martingale(res.output)
+
+
+# a light atom (mass 0.01, deviation +1) next to a heavy one (deviation
+# -0.0101): the weighted deviation 0.02 is below tol_mart = 0.05, so the loop
+# stops at once, but the light atom alone deviates by more than tol_mart
+LIGHT_ATOM = [(0, -1, 0.50), (0, 1, 0.49), (1, 2, 0.01)]
+
+
+def test_rearrange_snaps_light_atom_deviation():
+    pi = make_coupling(LIGHT_ATOM)
+    tol_mart = 0.05
+    assert barycentre_report(pi).epsilon <= tol_mart
+    assert not is_martingale(pi, tol_mart)
+    res = rearrange(pi, tol_mart=tol_mart)
+    assert res.steps == 0
+    assert res.presnap is not None and res.snap_plan is not None
+    assert res.presnap.point_masses() == pi.point_masses()
+    assert is_martingale(res.output)
+    assert res.snap_value > 0.0
+    assert res.cost_bound == res.snap_value
+    assert nd_lower_bound(pi) - TOL <= res.snap_value
+    plan = trace_to_bicausal_plan(pi, res)
+    assert plan.cost <= res.cost_bound + TOL
