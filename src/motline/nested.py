@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvexOrderError, InternalError, SizeGuardError
-from .lp import LinearProgram, solve_lp
+from .lp import FEAS_TOL, LinearProgram, solve_lp
 from .measures import (
     DEFAULT_TOL_MART,
     DiscreteCoupling,
@@ -104,7 +104,9 @@ def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
     T_r(b) + e+[i, b] - e-[i, b] = F_i(b), the target row sums mu_r, the
     column sums nu_b and the m martingale rows.  Returns (inner objective
     value, target masses) or raises ConvexOrderError when the martingale
-    polytope is empty.
+    polytope is empty.  A solver point that breaks a row by more than
+    FEAS_TOL (lengths in units of the second marginal's span) raises
+    InternalError instead of returning a wrong value.
     """
     mu = pi.first_marginal
     nu = pi.second_marginal
@@ -142,6 +144,8 @@ def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
         raise ConvexOrderError("martingale polytope is empty: marginals not in convex order")
     if sol.status != "optimal":
         raise InternalError(f"projection LP reported {sol.status}")
+    if sol.max_violation > FEAS_TOL:
+        raise InternalError(f"projection LP point breaks its rows by {sol.max_violation:.3g}")
     return span * sol.objective, sol.x[:n_tgt].reshape(m, k)
 
 

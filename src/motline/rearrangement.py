@@ -371,12 +371,16 @@ def rearrange(pi: DiscreteCoupling, tol_mart: float = DEFAULT_TOL_MART) -> Rearr
     switch when one exists, otherwise a cascade along exchange tuples.  Both
     shrink the deviation, and the deviation classes only ever shrink, so the
     loop terminates; a generous safety cap of |supp|^3 iterations guards
-    against defects.  The loop stops on the weighted deviation, so a light
-    atom can still deviate by more than ``tol_mart`` on its own; only then is
-    the coupling snapped to the projection LP's martingale coupling, whose
-    value is added to the cost bound so the certificate stays valid.  A
-    coupling that already passes ``is_martingale`` at ``tol_mart`` is
-    returned as is, with ``snap_plan`` and ``presnap`` left as None.
+    against defects.  Each step adds to the cost exactly the deviation it
+    removes, so after the loop the cost is ``epsilon_initial`` minus the
+    residual weighted deviation.  That residual is removed by snapping to the
+    projection LP's martingale coupling, whose value (at least the residual)
+    is added to the cost bound so the certificate stays valid.  The snap is
+    skipped only when every atom's deviation is within
+    ``min(tol_mart, DEFAULT_TOL_MART)``, so that the residual fits the
+    DEFAULT_TOL_MART slack of the sandwich check even when a larger
+    ``tol_mart`` stopped the loop early; the coupling is then returned as is,
+    with ``snap_plan`` and ``presnap`` left as None.
     """
     mu = pi.first_marginal
     nu = pi.second_marginal
@@ -427,7 +431,7 @@ def rearrange(pi: DiscreteCoupling, tol_mart: float = DEFAULT_TOL_MART) -> Rearr
     presnap = _state_coupling(mass)
     snap_value = 0.0
     snap_plan = None
-    if not is_martingale(presnap, tol_mart):
+    if not is_martingale(presnap, min(tol_mart, DEFAULT_TOL_MART)):
         projection = project_to_martingale(presnap, tol_mart)
         output = projection.projected
         snap_value = projection.value

@@ -115,6 +115,16 @@ def test_rearrange_stream(tmp_path, capsys, family1):
     assert summary["epsilon_initial"] == pytest.approx(expected["epsilon"], abs=1e-12)
 
 
+def test_rearrange_large_tol_mart_keeps_sandwich(tmp_path, capsys):
+    # per-atom deviations +-0.01 stop the loop at once under --tol-mart 0.05
+    path = tmp_path / "residual.json"
+    save(str(path), {"points": [[0, -1, 0.25], [0, 1.02, 0.25], [1, 0, 0.25], [1, 1.98, 0.25]]})
+    assert main(["rearrange", str(path), "--tol-mart", "0.05"]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["steps"] == 0
+    assert summary["cost_bound"] >= summary["epsilon_initial"]
+
+
 def test_lab_example1(capsys):
     assert main(["lab", "example1", "--family", "1", "--n", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -337,17 +337,21 @@ def test_rearrange_skips_snap_on_martingale_output():
         assert is_martingale(res.output)
 
 
-# a light atom (mass 0.01, deviation +1) next to a heavy one (deviation
-# -0.0101): the weighted deviation 0.02 is below tol_mart = 0.05, so the loop
-# stops at once, but the light atom alone deviates by more than tol_mart
+# both couplings have a weighted deviation below tol_mart = 0.05, so the loop
+# stops at once.  LIGHT_ATOM: a mass-0.01 atom deviates by +1 on its own, next
+# to a heavy one deviating by -0.0101.  SMALL_RESIDUAL: per-atom deviations
+# +-0.01 pass is_martingale at tol_mart but are far above the certificate's
+# slack.  The snap must run on both.
 LIGHT_ATOM = [(0, -1, 0.50), (0, 1, 0.49), (1, 2, 0.01)]
+SMALL_RESIDUAL = [(0, -1, 0.25), (0, 1.02, 0.25), (1, 0, 0.25), (1, 1.98, 0.25)]
 
 
-def test_rearrange_snaps_light_atom_deviation():
-    pi = make_coupling(LIGHT_ATOM)
+@pytest.mark.parametrize("points", [LIGHT_ATOM, SMALL_RESIDUAL],
+                         ids=["light_atom", "small_residual"])
+def test_rearrange_snaps_under_large_tol_mart(points):
+    pi = make_coupling(points)
     tol_mart = 0.05
     assert barycentre_report(pi).epsilon <= tol_mart
-    assert not is_martingale(pi, tol_mart)
     res = rearrange(pi, tol_mart=tol_mart)
     assert res.steps == 0
     assert res.presnap is not None and res.snap_plan is not None
@@ -355,6 +359,7 @@ def test_rearrange_snaps_light_atom_deviation():
     assert is_martingale(res.output)
     assert res.snap_value > 0.0
     assert res.cost_bound == res.snap_value
+    assert res.cost_bound >= res.epsilon_initial
     assert nd_lower_bound(pi) - TOL <= res.snap_value
     plan = trace_to_bicausal_plan(pi, res)
     assert plan.cost <= res.cost_bound + TOL
