@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Union
 
 import numpy as np
 

@@ -17,7 +17,6 @@ from .errors import InputError, InternalError
 from .measures import (
     DiscreteCoupling,
     DiscreteMeasure,
-    barycentre_report,
     convex_order,
     make_coupling,
     make_measure,
@@ -175,8 +174,8 @@ def _csv_cell(value) -> str:
 
 def _spread_atoms(atoms: np.ndarray, centre: float, magnitudes: Sequence[float],
                   h: float, outward: bool) -> np.ndarray:
-    """Shift atoms away from (or toward) the centre by at most h, re-centering
-    the result so the mean is preserved."""
+    """Shift each atom away from (or toward) the centre by h times its
+    magnitude; the mean is not preserved (``_perturb_measure`` re-centres)."""
     direction = np.sign(atoms - centre)
     direction[direction == 0] = 1.0
     if not outward:

@@ -11,8 +11,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvexOrderError, InputError, InternalError, SizeGuardError
-from .lp import LinearProgram, solve_lp
+from .lp import FEAS_TOL, LinearProgram, solve_lp
 from .measures import (
+    ATOM_MERGE_TOL,
     DiscreteCoupling,
     DiscreteMeasure,
     make_coupling,
@@ -118,6 +119,8 @@ def mot_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
         raise ConvexOrderError("marginals are not in convex order")
     if sol.status != "optimal":
         raise InternalError(f"martingale LP reported {sol.status}")
+    if sol.max_violation > FEAS_TOL:
+        raise InternalError(f"martingale LP point breaks its rows by {sol.max_violation:.3g}")
     masses = sol.x.reshape(len(mu), len(nu))
     return sol.objective, _coupling_from_grid(mu, nu, masses)
 
@@ -170,6 +173,8 @@ def penalized_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, L: fl
         raise ConvexOrderError("no dispersion-feasible coupling: marginals not in convex order")
     if sol.status != "optimal":
         raise InternalError(f"penalized LP reported {sol.status}")
+    if sol.max_violation > FEAS_TOL:
+        raise InternalError(f"penalized LP point breaks its rows by {sol.max_violation:.3g}")
     return sol.objective
 
 
@@ -264,17 +269,24 @@ def _barycentre_rows(alpha: DiscreteCoupling):
     sa = alpha.first_marginal
     sb = alpha.second_marginal
     grid = np.zeros((len(sa), len(sb)))
-    ai = {float(x): i for i, x in enumerate(sa.atoms)}
-    bj = {float(y): j for j, y in enumerate(sb.atoms)}
-    for x1, x2, w in zip(alpha.x1, alpha.x2, alpha.w):
-        grid[ai[float(x1)], bj[float(x2)]] = w
+    grid[np.searchsorted(sa.atoms, alpha.x1), np.searchsorted(sb.atoms, alpha.x2)] = alpha.w
     return sa, sb, grid
 
 
 def competitor_improve(alpha: DiscreteCoupling, cost: CostSpec,
                        tol: float = IMPROVE_TOL) -> Optional[DiscreteCoupling]:
     """Search for a cheaper measure with the same marginals and the same
-    conditional barycentres; returns it when the cost drops by more than tol."""
+    conditional barycentres; returns it when the cost drops by more than tol.
+
+    A coupling with one point per x1 has none, whatever the cost: its kernels
+    are Diracs at their barycentres b_i.  A competitor q keeps the second
+    marginal nu and the row masses w_i, so sum_ij q_ij y_j^2 = sum_j nu_j y_j^2
+    = sum_i w_i b_i^2, while Jensen gives sum_j q_ij y_j^2 >= w_i b_i^2 in each
+    row, with equality only for a Dirac at b_i.  Hence q = alpha, and no LP is
+    solved.
+    """
+    if np.all(np.diff(alpha.x1) != 0):
+        return None
     sa, sb, grid = _barycentre_rows(alpha)
     m, k = len(sa), len(sb)
     cost_matrix = cost.matrix_for(sa, sb)
@@ -325,6 +337,10 @@ def monotonicity_check(pi: DiscreteCoupling, cost: CostSpec, samples: int,
     violations = []
     for s in range(samples):
         idx = tuple(sorted(rng.sample(range(n), size)))
+        if idx not in cache and np.all(np.diff(pi.x1[list(idx)]) > ATOM_MERGE_TOL):
+            # make_coupling cannot merge these rows, so the sub-coupling has
+            # Dirac kernels and no competitor (see competitor_improve)
+            cache[idx] = None
         if idx not in cache:
             sub = [(pi.x1[i], pi.x2[i], pi.w[i]) for i in idx]
             alpha = make_coupling(sub)

@@ -12,7 +12,6 @@ import numpy as np
 from .errors import ConvexOrderError, InternalError, SizeGuardError
 from .lp import FEAS_TOL, LinearProgram, solve_lp
 from .measures import (
-    DEFAULT_TOL_MART,
     DiscreteCoupling,
     barycentre_report,
     make_coupling,
@@ -149,8 +148,7 @@ def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
     return span * sol.objective, sol.x[:n_tgt].reshape(m, k)
 
 
-def project_to_martingale(pi: DiscreteCoupling,
-                          tol_mart: float = DEFAULT_TOL_MART) -> ProjectionResult:
+def project_to_martingale(pi: DiscreteCoupling) -> ProjectionResult:
     """Project a coupling onto the martingale couplings of its own marginals.
 
     Solves a single LP over the target coupling, with the outer plan fixed to

@@ -432,7 +432,7 @@ def rearrange(pi: DiscreteCoupling, tol_mart: float = DEFAULT_TOL_MART) -> Rearr
     snap_value = 0.0
     snap_plan = None
     if not is_martingale(presnap, min(tol_mart, DEFAULT_TOL_MART)):
-        projection = project_to_martingale(presnap, tol_mart)
+        projection = project_to_martingale(presnap)
         output = projection.projected
         snap_value = projection.value
         snap_plan = projection.witness

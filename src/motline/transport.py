@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalError
-from .lp import LinearProgram, solve_lp
+from .lp import FEAS_TOL, LinearProgram, solve_lp
 from .measures import (
     MASS_DROP_TOL,
     DiscreteCoupling,
@@ -113,6 +113,8 @@ def solve_transport(cost: np.ndarray, source_w: np.ndarray, target_w: np.ndarray
     sol = solve_lp(LinearProgram(objective=cost.ravel(), a_eq=a_eq, b_eq=b_eq))
     if sol.status != "optimal":
         raise InternalError(f"transportation LP reported {sol.status}")
+    if sol.max_violation > FEAS_TOL:
+        raise InternalError(f"transportation LP point breaks its rows by {sol.max_violation:.3g}")
     return sol.objective, sol.x.reshape(n1, n2)
 
 

@@ -1,0 +1,71 @@
+"""Import hygiene: every module-level import in the package is used.
+
+No linter is installed and the runtime stays numpy-only, so this walks the
+syntax trees with ``ast``.  Names re-exported by ``__init__.py`` are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "motline"
+
+# (module file, name) -> why the import stays although the module never reads it
+KEPT = {
+    ("cli.py", "barycentre_report"):
+        "perfbench/tracing.py traces the name motline.cli.barycentre_report",
+}
+
+
+def _imported_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _used_names(tree: ast.Module) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # string annotations such as -> "CostSpec"
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    return [name for name in _imported_names(tree)
+            if name not in used and (path.name, name) not in KEPT]
+
+
+def test_no_unused_module_level_imports():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = {p.name: unused_imports(p) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_kept_imports_are_still_unused():
+    # an exemption outlives its reason once the module reads the name itself
+    for (module, name) in KEPT:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        assert name in set(_imported_names(tree))
+        assert name not in _used_names(tree)
+
+
+def test_checker_flags_an_unused_import(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("from __future__ import annotations\n"
+                      "import os\nimport numpy as np\nfrom typing import Optional, Union\n"
+                      "def f(x) -> \"Optional[int]\":\n    return np.abs(x)\n")
+    assert unused_imports(source) == ["os", "Union"]

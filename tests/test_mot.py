@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from motline import (
     ConvexOrderError,
     CostSpec,
     InputError,
+    InternalError,
     KappaSpec,
+    LpSolution,
     SizeGuardError,
     competitor_improve,
     convex_order,
@@ -26,6 +30,7 @@ from motline import (
     random_coupling,
     strassen_feasible,
 )
+from motline.measures import ATOM_MERGE_TOL
 
 from conftest import coupling_cost
 
@@ -297,11 +302,9 @@ def test_kappa_competitor_rejects_mismatched_plans():
         kappa_competitor_improve(alpha, bad, spec)
 
 
-def _competitor_vertices(alpha):
-    """Vertices of the competitor polytope of alpha: couplings on the same grid
-    with alpha's marginals and conditional barycentres (basis enumeration)."""
-    import itertools
-
+def _competitor_system(alpha):
+    """Equality rows of the competitor polytope of alpha: measures on alpha's
+    grid with alpha's marginals and conditional barycentres."""
     sa = alpha.first_marginal
     sb = alpha.second_marginal
     m, k = len(sa), len(sb)
@@ -327,8 +330,15 @@ def _competitor_vertices(alpha):
         row[i * k : (i + 1) * k] = sb.atoms
         rows.append(row)
         rhs.append(float(np.dot(grid[i], sb.atoms)))
-    a = np.array(rows)
-    b = np.array(rhs)
+    return sa, sb, grid, np.array(rows), np.array(rhs)
+
+
+def _competitor_vertices(alpha):
+    """Vertices of the competitor polytope of alpha (basis enumeration)."""
+    import itertools
+
+    sa, sb, _, a, b = _competitor_system(alpha)
+    m, k = len(sa), len(sb)
     rank = int(np.linalg.matrix_rank(a, tol=1e-9))
     seen = set()
     out = []
@@ -364,3 +374,141 @@ def test_kappa_competitor_agrees_with_vertex_search():
     oracle = min(kappa_objective(comp, spec) for comp in _competitor_vertices(alpha))
     assert achieved <= oracle + 1e-9
     assert oracle <= achieved + 1e-9
+
+
+def _dirac_subsets(pi, size, seed, count):
+    """Seeded sub-couplings of pi with one support point per x1, drawn the way
+    monotonicity_check draws its samples."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(50 * count):
+        idx = sorted(rng.sample(range(len(pi)), size))
+        if np.all(np.diff(pi.x1[idx]) > ATOM_MERGE_TOL):
+            out.append(make_coupling([(pi.x1[i], pi.x2[i], pi.w[i]) for i in idx]))
+            if len(out) == count:
+                break
+    assert len(out) == count
+    return out
+
+
+DIRAC = make_coupling([(0.0, 1.0, 0.3), (1.0, -2.0, 0.2), (2.0, 5.0, 0.5)])
+SHORTCUT_COSTS = [CostSpec.absolute(), CostSpec.squared(), CostSpec.call(0.5),
+                  CostSpec.polynomial([(1, 2, 1.0), (3, 1, -0.5)]),
+                  CostSpec.from_matrix(np.arange(9.0).reshape(3, 3) % 4)]
+
+
+def test_competitor_skips_lp_on_dirac_kernels(monkeypatch):
+    import motline.mot as mot
+
+    def no_lp(lp):
+        raise AssertionError("a competitor LP was built for Dirac kernels")
+
+    monkeypatch.setattr(mot, "solve_lp", no_lp)
+    for cost in SHORTCUT_COSTS:
+        assert competitor_improve(DIRAC, cost) is None
+    with pytest.raises(AssertionError, match="Dirac"):
+        competitor_improve(make_coupling(SUBOPTIMAL), CostSpec.absolute())
+
+    calls = []
+    monkeypatch.setattr(mot, "competitor_improve", lambda *args: calls.append(args))
+    pi = identity_coupling(make_measure([0, 1, 3, 4, 7], [0.1, 0.2, 0.3, 0.2, 0.2]))
+    report = monotonicity_check(pi, CostSpec.absolute(), samples=30, subset_size=3, rng_seed=2)
+    assert report.n_violations == 0 and calls == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dirac_kernels_admit_no_competitor_highs(seed):
+    # the theorem behind the shortcut, checked with an independent solver:
+    # the competitor LP's optimum is the current cost for every cost
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    mu, nu = random_convex_pair(seed, m=4 + seed % 3, k=8 + seed % 4, radius=3.0)
+    rng = np.random.default_rng(seed)
+    couplings = [random_coupling(seed + 10, mu, nu, blend=3),  # not a martingale
+                 mot_solve(mu, nu, CostSpec.absolute())[1]]
+    assert not is_martingale(couplings[0])
+    for pi in couplings:
+        for alpha in _dirac_subsets(pi, size=min(4, len(mu)), seed=seed, count=4):
+            sa, sb, grid, a_eq, b_eq = _competitor_system(alpha)
+            random_matrix = CostSpec.from_matrix(rng.normal(size=grid.shape))
+            for cost in SHORTCUT_COSTS[:4] + [random_matrix]:
+                cmat = cost.matrix_for(sa, sb)
+                current = float(np.sum(grid * cmat))
+                res = linprog(cmat.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                              method="highs")
+                assert res.status == 0
+                assert abs(res.fun - current) <= 1e-12 * max(1.0, abs(current))
+
+
+# monotonicity_check violations under the abs cost, recorded before the Dirac
+# shortcut existed: (sample, indices, current cost, competitor cost)
+PINNED_VIOLATIONS = {
+    "optimizer_call_0": (
+        (2, (1, 4, 5, 7), 1.556177504620138, 1.4886593330895184),
+        (4, (1, 4, 5, 7), 1.556177504620138, 1.4886593330895184),
+        (6, (1, 3, 4, 5), 1.9183634221648087, 1.8349413090133873),
+        (7, (1, 2, 3, 5), 1.7342656650646153, 1.6607697883438606),
+        (10, (0, 1, 3, 5), 1.1454953533023955, 1.0935800325263403)),
+    "random_0": (
+        (1, (9, 12, 15, 16), 6.664554411280947, 6.563895654798646),
+        (2, (6, 11, 15, 18), 5.785815744780079, 5.512355822000686),
+        (12, (2, 7, 10, 15), 4.391882537745107, 4.312200920698111)),
+    "optimizer_call_1": (
+        (9, (3, 7, 8, 9), 3.0622574662278135, 2.9409539716027613),),
+    "random_1": (
+        (0, (2, 4, 8, 18), 7.958078768808723, 7.954683166323226),
+        (2, (3, 6, 12, 15), 3.548547703421285, 2.2587754494721173),
+        (5, (3, 7, 10, 18), 8.447218138210415, 8.025950762320733),
+        (10, (0, 7, 9, 14), 4.482374882331722, 4.371438340755817),
+        (13, (10, 13, 16, 22), 2.315708103385613, 1.8124583591869459),
+        (14, (6, 9, 16, 21), 4.089495100715073, 3.5414733582469897),
+        (15, (9, 15, 16, 18), 6.9126979775524715, 6.768593058788232)),
+    "suboptimal": tuple((s, (0, 1, 2, 3), 2.0, 1.3333333333333324) for s in range(4)),
+}
+
+
+def _pinned_cases():
+    for seed in (0, 1):
+        mu, nu = random_convex_pair(seed, m=4 + seed, k=7 + seed)
+        yield f"optimizer_call_{seed}", mot_solve(mu, nu, CostSpec.call(0.3))[1], seed
+        yield f"random_{seed}", random_coupling(seed + 50, mu, nu), seed
+    yield "suboptimal", make_coupling(SUBOPTIMAL), 1
+
+
+def test_monotonicity_check_violations_pinned():
+    for name, pi, seed in _pinned_cases():
+        samples = 4 if name == "suboptimal" else 16
+        report = monotonicity_check(pi, CostSpec.absolute(), samples, 4, seed)
+        assert report.violations == PINNED_VIOLATIONS[name], name
+        # square and call costs integrate only marginal and barycentre data
+        for cost in (CostSpec.squared(), CostSpec.call(0.3)):
+            assert monotonicity_check(pi, cost, samples, 4, seed).violations == ()
+
+
+@pytest.mark.parametrize("caller", ["mot_solve", "penalized_ot"])
+def test_mot_lps_reject_point_that_breaks_their_rows(monkeypatch, caller):
+    import motline.mot as mot
+
+    original = mot.solve_lp
+
+    def off_rows(lp):
+        sol = original(lp)
+        return LpSolution(sol.status, sol.x, sol.objective, max_violation=2e-3)
+
+    monkeypatch.setattr(mot, "solve_lp", off_rows)
+    mu, nu = random_convex_pair(3, m=4, k=7)
+    args = (mu, nu, CostSpec.absolute()) + ((1.0,) if caller == "penalized_ot" else ())
+    with pytest.raises(InternalError, match="breaks its rows"):
+        getattr(mot, caller)(*args)
+
+
+def test_penalized_ot_fails_loudly_off_its_rows():
+    # a benchmark pool slot where the simplex returned a point off the
+    # penalized LP's rows (value 2.46565 against the MOT value 2.32145)
+    mu, nu = random_convex_pair(1843471492, 13, 26, radius=10.0)
+    value, _ = mot_solve(mu, nu, CostSpec.absolute())
+    try:
+        relaxed = penalized_ot(mu, nu, CostSpec.absolute(), 1.0)
+    except InternalError as err:
+        assert "breaks its rows" in str(err)
+    else:
+        assert relaxed == pytest.approx(value, rel=1e-9)

@@ -5,6 +5,8 @@ import pytest
 
 from motline import (
     InputError,
+    InternalError,
+    LpSolution,
     adapt_marginals,
     barycentre_report,
     is_martingale,
@@ -145,3 +147,18 @@ def test_adapt_marginals_deviation_bound_for_martingale_input():
     shift = w_p_1d(base.first_marginal, mu2, 1) + w_p_1d(base.second_marginal, nu2, 1)
     assert shift <= 2 * h + TOL
     assert barycentre_report(out).epsilon <= shift + TOL
+
+
+def test_solve_transport_rejects_point_that_breaks_its_rows(monkeypatch):
+    import motline.transport as transport
+
+    original = transport.solve_lp
+
+    def off_rows(lp):
+        sol = original(lp)
+        return LpSolution(sol.status, sol.x, sol.objective, max_violation=2e-3)
+
+    monkeypatch.setattr(transport, "solve_lp", off_rows)
+    cost = np.abs(np.arange(3.0)[:, None] - np.arange(4.0)[None, :])
+    with pytest.raises(InternalError, match="breaks its rows"):
+        solve_transport(cost, np.full(3, 1 / 3), np.full(4, 0.25))
