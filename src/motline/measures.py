@@ -22,21 +22,24 @@ MASS_DROP_TOL = 1e-15
 
 
 def _merge_sorted(values: np.ndarray, weights: np.ndarray):
-    """Collapse runs of near-equal sorted locations into weighted-mean atoms."""
-    out_v, out_w = [], []
-    i, n = 0, len(values)
-    while i < n:
+    """Collapse runs of near-equal sorted locations into weighted-mean atoms.
+
+    Returns the atoms and the run bounds: atom r merges the inputs from
+    bounds[r] up to bounds[r + 1].
+    """
+    atoms, bounds = [], [0]
+    n = len(values)
+    while bounds[-1] < n:
+        i = bounds[-1]
         j = i + 1
         while j < n and values[j] - values[j - 1] <= ATOM_MERGE_TOL:
             j += 1
-        block_w = float(weights[i:j].sum())
         if values[j - 1] == values[i]:  # keep exact locations exact
-            out_v.append(float(values[i]))
+            atoms.append(float(values[i]))
         else:
-            out_v.append(float(np.dot(values[i:j], weights[i:j]) / block_w))
-        out_w.append(block_w)
-        i = j
-    return np.array(out_v), np.array(out_w)
+            atoms.append(float(np.dot(values[i:j], weights[i:j]) / weights[i:j].sum()))
+        bounds.append(j)
+    return np.array(atoms), bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +103,10 @@ def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMe
     if a.size == 0:
         raise InputError("total weight is zero")
     order = np.argsort(a, kind="stable")
-    a, w = _merge_sorted(a[order], w[order])
-    return DiscreteMeasure(a, w / w.sum())
+    a, w = a[order], w[order]
+    atoms, bounds = _merge_sorted(a, w)
+    masses = np.array([w[i:j].sum() for i, j in zip(bounds, bounds[1:])])
+    return DiscreteMeasure(atoms, masses / masses.sum())
 
 
 def point_mass(x: float) -> DiscreteMeasure:
@@ -111,19 +116,9 @@ def point_mass(x: float) -> DiscreteMeasure:
 def _canonical_axis(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Snap near-equal coordinates to their weighted-mean representative."""
     order = np.argsort(values, kind="stable")
-    sv, sw = values[order], weights[order]
+    atoms, bounds = _merge_sorted(values[order], weights[order])
     out = np.empty_like(values)
-    i, n = 0, len(sv)
-    while i < n:
-        j = i + 1
-        while j < n and sv[j] - sv[j - 1] <= ATOM_MERGE_TOL:
-            j += 1
-        if sv[j - 1] == sv[i]:  # keep exact locations exact
-            canon = float(sv[i])
-        else:
-            canon = float(np.dot(sv[i:j], sw[i:j]) / sw[i:j].sum())
-        out[order[i:j]] = canon
-        i = j
+    out[order] = np.repeat(atoms, np.diff(bounds))
     return out
 
 
@@ -337,25 +332,28 @@ def is_monotone_support(pi: DiscreteCoupling) -> bool:
     return True
 
 
-def hoeffding_frechet(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteCoupling:
-    """Comonotone (quantile) coupling obtained by merging cumulative breakpoints."""
-    points = []
+def _quantile_merge(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """Yield (i, j, mass) quantile segments pairing the two supports in order."""
     i = j = 0
     ra, rb = float(mu.weights[0]), float(nu.weights[0])
     while True:
         take = min(ra, rb)
         if take > 0:
-            points.append((float(mu.atoms[i]), float(nu.atoms[j]), take))
+            yield i, j, take
         ra -= take
         rb -= take
         if ra <= 0:
             i += 1
             if i == len(mu):
-                break
+                return
             ra = float(mu.weights[i])
         if rb <= 0:
             j += 1
             if j == len(nu):
-                break
+                return
             rb = float(nu.weights[j])
-    return make_coupling(points)
+
+
+def hoeffding_frechet(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteCoupling:
+    """Comonotone (quantile) coupling obtained by merging cumulative breakpoints."""
+    return make_coupling((mu.atoms[i], nu.atoms[j], take) for i, j, take in _quantile_merge(mu, nu))

@@ -18,7 +18,7 @@ from .measures import (
     DiscreteMeasure,
     make_coupling,
 )
-from .transport import TransportPlan, solve_transport
+from .transport import TransportPlan, grid_coupling, grid_rows, solve_transport
 
 _DROP = 1e-12
 IMPROVE_TOL = 1e-7
@@ -89,26 +89,9 @@ class CostSpec:
 
 def _martingale_system(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Equality system (marginals + martingale rows) over the mu x nu grid."""
-    m, k = len(mu), len(nu)
-    a = np.zeros((2 * m + k, m * k))
-    b = np.zeros(2 * m + k)
-    for i in range(m):
-        a[i, i * k : (i + 1) * k] = 1.0
-        b[i] = mu.weights[i]
-    for j in range(k):
-        a[m + j, j::k] = 1.0
-        b[m + j] = nu.weights[j]
     gaps = nu.atoms[None, :] - mu.atoms[:, None]
-    for i in range(m):
-        a[m + k + i, i * k : (i + 1) * k] = gaps[i]
-    return a, b
-
-
-def _coupling_from_grid(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                        masses: np.ndarray) -> DiscreteCoupling:
-    points = [(mu.atoms[i], nu.atoms[j], masses[i, j])
-              for i, j in zip(*np.nonzero(masses > _DROP))]
-    return make_coupling(points)
+    b = np.concatenate([mu.weights, nu.weights, np.zeros(len(mu))])
+    return grid_rows(len(mu), len(nu), [gaps]), b
 
 
 def mot_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
@@ -122,7 +105,7 @@ def mot_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
     if sol.max_violation > FEAS_TOL:
         raise InternalError(f"martingale LP point breaks its rows by {sol.max_violation:.3g}")
     masses = sol.x.reshape(len(mu), len(nu))
-    return sol.objective, _coupling_from_grid(mu, nu, masses)
+    return sol.objective, grid_coupling(mu, nu, masses, _DROP)
 
 
 def strassen_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
@@ -139,36 +122,23 @@ def penalized_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, L: fl
     For an L-Lipschitz cost this equals the martingale transport value.
     """
     m, k = len(mu), len(nu)
-    n_pi = m * k
-    n_vars = n_pi + m  # epigraph variable per first-marginal atom
-    a_eq = np.zeros((m + k, n_vars))
-    b_eq = np.zeros(m + k)
-    for i in range(m):
-        a_eq[i, i * k : (i + 1) * k] = 1.0
-        b_eq[i] = mu.weights[i]
-    for j in range(k):
-        a_eq[m + j, j:n_pi:k] = 1.0
-        b_eq[m + j] = nu.weights[j]
-
+    n_pi = m * k  # then one epigraph variable t_i per first-marginal atom
     gaps = nu.atoms[None, :] - mu.atoms[:, None]
-    rows_ub, rhs_ub = [], []
-    for i0 in range(m):  # upper-tail dispersion at each atom of mu
-        row = np.zeros(n_vars)
-        for i in range(i0, m):
-            row[i * k : (i + 1) * k] = -gaps[i]
-        rows_ub.append(row)
-        rhs_ub.append(0.0)
-    for i in range(m):  # t_i >= +/- row deviation
-        for sign in (1.0, -1.0):
-            row = np.zeros(n_vars)
-            row[i * k : (i + 1) * k] = sign * gaps[i]
-            row[n_pi + i] = -1.0
-            rows_ub.append(row)
-            rhs_ub.append(0.0)
+    rows = grid_rows(m, k, [gaps, -gaps])
+    a_eq = np.zeros((m + k, n_pi + m))
+    a_eq[:, :n_pi] = rows[: m + k]
+    a_ub = np.zeros((3 * m, n_pi + m))
+    # upper-tail dispersion at each atom of mu: minus the deviation of rows >= i
+    a_ub[:m, :n_pi] = np.cumsum(rows[m + k + m :][::-1], axis=0)[::-1]
+    # t_i >= +/- row deviation
+    a_ub[m::2, :n_pi] = rows[m + k : m + k + m]
+    a_ub[m + 1 :: 2, :n_pi] = rows[m + k + m :]
+    a_ub[m + np.arange(2 * m), n_pi + np.arange(2 * m) // 2] = -1.0
 
     objective = np.concatenate([cost.matrix_for(mu, nu).ravel(), np.full(m, float(L))])
-    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq,
-                                 a_ub=np.array(rows_ub), b_ub=np.array(rhs_ub)))
+    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq,
+                                 b_eq=np.concatenate([mu.weights, nu.weights]),
+                                 a_ub=a_ub, b_ub=np.zeros(3 * m)))
     if sol.status == "infeasible":
         raise ConvexOrderError("no dispersion-feasible coupling: marginals not in convex order")
     if sol.status != "optimal":
@@ -257,7 +227,7 @@ def kappa_solve_bruteforce(kappa: KappaSpec, mu: DiscreteMeasure, nu: DiscreteMe
         raise ConvexOrderError("martingale polytope is empty")
     best_value, best_coupling = np.inf, None
     for vertex in vertices:
-        coupling = _coupling_from_grid(mu, nu, vertex.reshape(len(mu), len(nu)))
+        coupling = grid_coupling(mu, nu, vertex.reshape(len(mu), len(nu)), _DROP)
         value = kappa_objective(coupling, kappa)
         if value < best_value - 1e-15:
             best_value, best_coupling = value, coupling
@@ -271,6 +241,16 @@ def _barycentre_rows(alpha: DiscreteCoupling):
     grid = np.zeros((len(sa), len(sb)))
     grid[np.searchsorted(sa.atoms, alpha.x1), np.searchsorted(sb.atoms, alpha.x2)] = alpha.w
     return sa, sb, grid
+
+
+def _competitor_system(grid: np.ndarray, sb: DiscreteMeasure):
+    """Rows pinning the row masses, the column masses and the row barycentre
+    integrals of a grid over the atoms of ``sb``, with their right-hand sides."""
+    m, k = grid.shape
+    rows = grid_rows(m, k, [np.broadcast_to(sb.atoms, (m, k))])
+    # one dot per row: grid @ atoms may round the last bit differently
+    moments = [np.dot(row, sb.atoms) for row in grid]
+    return rows, np.concatenate([grid.sum(axis=1), grid.sum(axis=0), moments])
 
 
 def competitor_improve(alpha: DiscreteCoupling, cost: CostSpec,
@@ -292,23 +272,14 @@ def competitor_improve(alpha: DiscreteCoupling, cost: CostSpec,
     cost_matrix = cost.matrix_for(sa, sb)
     current = float(np.sum(grid * cost_matrix))
 
-    a_eq = np.zeros((2 * m + k, m * k))
-    b_eq = np.zeros(2 * m + k)
-    for i in range(m):
-        a_eq[i, i * k : (i + 1) * k] = 1.0
-        b_eq[i] = grid[i].sum()
-    for j in range(k):
-        a_eq[m + j, j::k] = 1.0
-        b_eq[m + j] = grid[:, j].sum()
-    for i in range(m):
-        a_eq[m + k + i, i * k : (i + 1) * k] = sb.atoms
-        b_eq[m + k + i] = float(np.dot(grid[i], sb.atoms))
-
+    a_eq, b_eq = _competitor_system(grid, sb)
     sol = solve_lp(LinearProgram(objective=cost_matrix.ravel(), a_eq=a_eq, b_eq=b_eq))
     if sol.status != "optimal":
         raise InternalError(f"competitor LP reported {sol.status} on a feasible instance")
+    if sol.max_violation > FEAS_TOL:
+        raise InternalError(f"competitor LP point breaks its rows by {sol.max_violation:.3g}")
     if sol.objective < current - tol:
-        return _coupling_from_grid(sa, sb, sol.x.reshape(m, k))
+        return grid_coupling(sa, sb, sol.x.reshape(m, k), _DROP)
     return None
 
 
@@ -387,53 +358,42 @@ def kappa_competitor_improve(alpha: DiscreteCoupling, gammas: dict, kappa: Kappa
         current += weight * float(np.sum(plan.matrix * _chat_matrix(kappa, x1, ref, kernel)))
 
     refs = [kappa.kernel(float(x)) for x in sa.atoms]
-    offsets, n_rho = [], 0
-    for ref in refs:
-        offsets.append(n_rho)
-        n_rho += len(ref) * k
-    tgt0 = n_rho
-    n_vars = n_rho + m * k
+    sizes = np.array([len(ref) for ref in refs])
+    offsets = k * np.concatenate([[0], np.cumsum(sizes)])
+    tgt0 = offsets[-1]
+    n_src, n_tgt = int(sizes.sum()), m * k
+    n_vars = tgt0 + n_tgt
 
-    rows, rhs = [], []
-    for i, ref in enumerate(refs):  # inner source marginal: alpha1(x1) * kappa_x1
-        row_mass = grid[i].sum()
-        for a in range(len(ref)):
-            row = np.zeros(n_vars)
-            row[offsets[i] + a * k : offsets[i] + (a + 1) * k] = 1.0
-            rows.append(row)
-            rhs.append(row_mass * ref.weights[a])
-    for i, ref in enumerate(refs):  # inner target marginal = competitor row
-        for b in range(k):
-            row = np.zeros(n_vars)
-            for a in range(len(ref)):
-                row[offsets[i] + a * k + b] = 1.0
-            row[tgt0 + i * k + b] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    for j in range(k):  # competitor second marginal
-        row = np.zeros(n_vars)
-        for i in range(m):
-            row[tgt0 + i * k + j] = 1.0
-        rows.append(row)
-        rhs.append(grid[:, j].sum())
-    for i in range(m):  # conditional barycentres pinned
-        row = np.zeros(n_vars)
-        row[tgt0 + i * k : tgt0 + (i + 1) * k] = sb.atoms
-        rows.append(row)
-        rhs.append(float(np.dot(grid[i], sb.atoms)))
+    # rows: inner source marginals alpha1(x1) * kappa_x1 (n_src), inner target
+    # marginals = competitor rows (m * k), then the competitor's second
+    # marginal (k) and its pinned conditional barycentres (m)
+    a_eq = np.zeros((n_src + n_tgt + k + m, n_vars))
+    for i, size in enumerate(sizes):
+        inner = grid_rows(size, k)
+        src0 = offsets[i] // k
+        a_eq[src0 : src0 + size, offsets[i] : offsets[i + 1]] = inner[:size]
+        a_eq[n_src + i * k : n_src + (i + 1) * k, offsets[i] : offsets[i + 1]] = inner[size:]
+    a_eq[n_src + np.arange(n_tgt), tgt0 + np.arange(n_tgt)] = -1.0
+    rows, rhs = _competitor_system(grid, sb)
+    a_eq[n_src + n_tgt :, tgt0:] = rows[m:]
+    b_eq = np.concatenate([rhs[i] * ref.weights for i, ref in enumerate(refs)]
+                          + [np.zeros(n_tgt), rhs[m:]])
 
     objective = np.zeros(n_vars)
     for i, ref in enumerate(refs):
         cmat = _chat_matrix(kappa, float(sa.atoms[i]), ref, sb)
-        objective[offsets[i] : offsets[i] + len(ref) * k] = cmat.ravel()
+        objective[offsets[i] : offsets[i + 1]] = cmat.ravel()
 
-    sol = solve_lp(LinearProgram(objective=objective, a_eq=np.array(rows), b_eq=np.array(rhs)))
+    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq))
     if sol.status != "optimal":
         raise InternalError(f"kappa competitor LP reported {sol.status} on a feasible instance")
+    if sol.max_violation > FEAS_TOL:
+        raise InternalError(
+            f"kappa competitor LP point breaks its rows by {sol.max_violation:.3g}")
     if sol.objective >= current - tol:
         return None
     target = sol.x[tgt0:].reshape(m, k)
-    competitor = _coupling_from_grid(sa, sb, target)
+    competitor = grid_coupling(sa, sb, target, _DROP)
     # re-derive the inner plans from the competitor by exact small transports;
     # this reproduces the joint optimum given the competitor's kernels
     new_plans = {}

@@ -16,7 +16,8 @@ from .measures import (
     barycentre_report,
     make_coupling,
 )
-from .transport import TransportPlan, _require_p, optimal_coupling_1d, solve_transport, w_p_1d
+from .transport import (TransportPlan, _require_p, grid_rows, optimal_coupling_1d,
+                        solve_transport, w_p_1d)
 
 _DROP = 1e-12
 
@@ -130,11 +131,7 @@ def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
         a_eq[rows, n_tgt + rows] = 1.0
         a_eq[rows, n_tgt + n_gap + rows] = -1.0
     # target row sums, column sums and martingale rows
-    for r in range(m):
-        a_eq[n_gap + r, r * k : (r + 1) * k] = 1.0
-        a_eq[n_gap + m + k + r, r * k : (r + 1) * k] = (nu.atoms - mu.atoms[r]) / span
-    for b in range(k):
-        a_eq[n_gap + m + b, b:n_tgt:k] = 1.0
+    a_eq[n_gap:, :n_tgt] = grid_rows(m, k, [(nu.atoms[None, :] - mu.atoms[:, None]) / span])
     b_eq = np.concatenate([cdf.ravel(), mu.weights, nu.weights, np.zeros(m)])
     objective = np.concatenate([np.zeros(n_tgt), np.tile(np.diff(nu.atoms) / span, 2 * m)])
 

@@ -13,6 +13,7 @@ from .measures import (
     MASS_DROP_TOL,
     DiscreteCoupling,
     DiscreteMeasure,
+    _quantile_merge,
     make_coupling,
 )
 
@@ -46,10 +47,7 @@ class TransportPlan:
         return float(np.sum(self.matrix * gaps**p))
 
     def to_coupling(self) -> DiscreteCoupling:
-        rows, cols = np.nonzero(self.matrix > 0)
-        points = [(self.source.atoms[i], self.target.atoms[j], self.matrix[i, j])
-                  for i, j in zip(rows, cols)]
-        return make_coupling(points)
+        return grid_coupling(self.source, self.target, self.matrix, 0.0)
 
 
 def _require_p(p: float) -> float:
@@ -57,28 +55,6 @@ def _require_p(p: float) -> float:
     if p < 1:
         raise InputError("the order p must be at least 1")
     return p
-
-
-def _quantile_merge(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Yield (i, j, mass) quantile segments pairing the two supports in order."""
-    i = j = 0
-    ra, rb = float(mu.weights[0]), float(nu.weights[0])
-    while True:
-        take = min(ra, rb)
-        if take > 0:
-            yield i, j, take
-        ra -= take
-        rb -= take
-        if ra <= 0:
-            i += 1
-            if i == len(mu):
-                return
-            ra = float(mu.weights[i])
-        if rb <= 0:
-            j += 1
-            if j == len(nu):
-                return
-            rb = float(nu.weights[j])
 
 
 def w_p_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> float:
@@ -98,19 +74,41 @@ def optimal_coupling_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPl
     return TransportPlan(mu, nu, matrix)
 
 
+def grid_rows(m: int, k: int, extra=()) -> np.ndarray:
+    """Constraint rows over the masses of a row-major m x k grid.
+
+    Returns the m row-sum rows, then the k column-sum rows, then one block of
+    m rows for each m x k array in ``extra``: row i of a block carries that
+    array's row i on the columns of grid row i (barycentre or deviation
+    rows).  Every LP over couplings on supp mu x supp nu takes its rows from
+    here.
+    """
+    cols = np.arange(m * k)
+    grid_row = cols // k
+    rows = np.zeros((m + k + m * len(extra), m * k))
+    rows[grid_row, cols] = 1.0
+    rows[m + cols % k, cols] = 1.0
+    for n, values in enumerate(extra):
+        rows[m + k + n * m + grid_row, cols] = np.ravel(values)
+    return rows
+
+
+def grid_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, masses: np.ndarray,
+                  drop: float) -> DiscreteCoupling:
+    """Coupling carrying the masses above ``drop`` of a grid over mu x nu."""
+    points = [(mu.atoms[i], nu.atoms[j], masses[i, j])
+              for i, j in zip(*np.nonzero(masses > drop))]
+    return make_coupling(points)
+
+
 def solve_transport(cost: np.ndarray, source_w: np.ndarray, target_w: np.ndarray):
     """Transportation LP: returns (optimal value, mass matrix)."""
     cost = np.asarray(cost, dtype=float)
     n1, n2 = cost.shape
     if n1 != len(source_w) or n2 != len(target_w):
         raise InputError("cost matrix shape must match the weight vectors")
-    a_eq = np.zeros((n1 + n2, n1 * n2))
-    for i in range(n1):
-        a_eq[i, i * n2 : (i + 1) * n2] = 1.0
-    for j in range(n2):
-        a_eq[n1 + j, j::n2] = 1.0
     b_eq = np.concatenate([source_w, target_w])
-    sol = solve_lp(LinearProgram(objective=cost.ravel(), a_eq=a_eq, b_eq=b_eq))
+    sol = solve_lp(LinearProgram(objective=cost.ravel(), a_eq=grid_rows(n1, n2), b_eq=b_eq))
     if sol.status != "optimal":
         raise InternalError(f"transportation LP reported {sol.status}")
     if sol.max_violation > FEAS_TOL:
@@ -143,15 +141,11 @@ def adapt_marginals(pi: DiscreteCoupling, mu2: DiscreteMeasure, nu2: DiscreteMea
     mu, nu = pi.first_marginal, pi.second_marginal
     z = optimal_coupling_1d(mu, mu2).matrix / mu.weights[:, None]
     h = optimal_coupling_1d(nu, nu2).matrix / nu.weights[:, None]
-    mu_index = {float(a): i for i, a in enumerate(mu.atoms)}
-    nu_index = {float(b): j for j, b in enumerate(nu.atoms)}
+    rows = z[np.searchsorted(mu.atoms, pi.x1)]
+    cols = h[np.searchsorted(nu.atoms, pi.x2)]
     mass = np.zeros((len(mu2), len(nu2)))
-    for x1, x2, w in zip(pi.x1, pi.x2, pi.w):
-        row = z[mu_index[float(x1)]]
-        col = h[nu_index[float(x2)]]
+    for row, col, w in zip(rows, cols, pi.w):
         mass += w * np.outer(row, col)
     # quantile pairings of nearly identical cumulative weights can leave
     # sub-rounding slivers; drop them so matching marginals act as identity
-    points = [(mu2.atoms[i], nu2.atoms[j], mass[i, j])
-              for i, j in zip(*np.nonzero(mass > MASS_DROP_TOL))]
-    return make_coupling(points)
+    return grid_coupling(mu2, nu2, mass, MASS_DROP_TOL)

@@ -7,7 +7,9 @@ syntax trees with ``ast``.  Names re-exported by ``__init__.py`` are exempt.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "motline"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "motline"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # (module file, name) -> why the import stays although the module never reads it
 KEPT = {
@@ -61,6 +63,42 @@ def test_kept_imports_are_still_unused():
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         assert name in set(_imported_names(tree))
         assert name not in _used_names(tree)
+
+
+def _defined_names(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _traced_names():
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "PATCHES" for t in node.targets):
+            return [(module, name) for module, name, _ in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/tracing.py has no PATCHES table")
+
+
+def test_traced_names_exist_where_the_trace_patches_them():
+    # the traced benchmark run replaces each (module, name) with getattr and
+    # setattr, so the name must stay a module-level attribute; an imported
+    # name must also still be read there, or its span never fires
+    patches = _traced_names()
+    assert patches
+    for module, name in patches:
+        package, _, stem = module.partition(".")
+        assert package == "motline", module
+        path = PACKAGE / f"{stem}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if name in _defined_names(tree):
+            continue
+        assert name in set(_imported_names(tree)), (module, name)
+        assert name in _used_names(tree) or (path.name, name) in KEPT, (module, name)
 
 
 def test_checker_flags_an_unused_import(tmp_path):

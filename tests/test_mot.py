@@ -484,7 +484,21 @@ def test_monotonicity_check_violations_pinned():
             assert monotonicity_check(pi, cost, samples, 4, seed).violations == ()
 
 
-@pytest.mark.parametrize("caller", ["mot_solve", "penalized_ot"])
+def _row_checked_args(caller):
+    mu, nu = random_convex_pair(3, m=4, k=7)
+    if caller in ("mot_solve", "penalized_ot"):
+        return (mu, nu, CostSpec.absolute()) + ((1.0,) if caller == "penalized_ot" else ())
+    alpha = random_coupling(4, mu, nu)  # several points per x1, so the LP is built
+    if caller == "competitor_improve":
+        return alpha, CostSpec.absolute()
+    spec = KappaSpec.from_coupling(random_coupling(5, mu, nu), lambda x1, x2, y2: abs(x2 - y2))
+    gammas = {x1: optimal_coupling_1d(spec.kernel(x1), kern)
+              for x1, _, kern in alpha.kernel_items()}
+    return alpha, gammas, spec
+
+
+@pytest.mark.parametrize("caller", ["mot_solve", "penalized_ot", "competitor_improve",
+                                    "kappa_competitor_improve"])
 def test_mot_lps_reject_point_that_breaks_their_rows(monkeypatch, caller):
     import motline.mot as mot
 
@@ -494,9 +508,8 @@ def test_mot_lps_reject_point_that_breaks_their_rows(monkeypatch, caller):
         sol = original(lp)
         return LpSolution(sol.status, sol.x, sol.objective, max_violation=2e-3)
 
+    args = _row_checked_args(caller)
     monkeypatch.setattr(mot, "solve_lp", off_rows)
-    mu, nu = random_convex_pair(3, m=4, k=7)
-    args = (mu, nu, CostSpec.absolute()) + ((1.0,) if caller == "penalized_ot" else ())
     with pytest.raises(InternalError, match="breaks its rows"):
         getattr(mot, caller)(*args)
 

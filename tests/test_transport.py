@@ -21,9 +21,27 @@ from motline import (
     w_p_plane,
 )
 
-from conftest import transport_bruteforce
+from motline.transport import grid_rows
+
+from conftest import transport_bruteforce, transport_system
 
 TOL = 1e-9
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (1, 4), (3, 1), (3, 5), (6, 4)])
+def test_grid_rows_layout(m, k):
+    rng = np.random.default_rng(m * 10 + k)
+    extra = [rng.normal(size=(m, k)), rng.normal(size=(m, k))]
+    rows = grid_rows(m, k, extra)
+    assert rows.shape == (3 * m + k, m * k)
+    assert np.array_equal(rows[: m + k], transport_system(np.ones(m), np.ones(k))[0])
+    assert np.array_equal(grid_rows(m, k), rows[: m + k])
+    # block n, row i: the i-th row of extra[n] on grid row i's columns, zero elsewhere
+    for n, values in enumerate(extra):
+        block = rows[m + k + n * m : m + k + (n + 1) * m].reshape(m, m, k)
+        for i in range(m):
+            assert np.array_equal(block[i, i], values[i])
+            assert not np.any(np.delete(block[i], i, axis=0))
 
 
 def test_w1_point_masses():
