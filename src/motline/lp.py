@@ -97,10 +97,15 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
+    """``pivots`` counts the pivots of phase 1 (including those that drive
+    leftover artificials out of the basis) and of phase 2; for a fixed program
+    and start they are reproducible, like the solution."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]
     objective: Optional[float]
     max_violation: float = 0.0
+    pivots: tuple = (0, 0)
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -115,33 +120,33 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     rhs[(rhs < 0) & (rhs > -1e-12)] = 0.0
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> str:
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray):
     """Iterate pivots on a tableau whose last row holds reduced costs.
 
-    Returns "optimal" or "unbounded".  ``allowed`` masks columns eligible to
-    enter the basis.
+    Returns ("optimal" or "unbounded", pivots made).  ``allowed`` masks
+    columns eligible to enter the basis.
     """
     m = tableau.shape[0] - 1
     n_total = tableau.shape[1] - 1
     bland = False
     degenerate_run = 0
     max_iter = 5000 + 50 * (m + n_total)
-    for _ in range(max_iter):
+    for pivots in range(max_iter):
         reduced = tableau[-1, :-1]
         if bland:
             candidates = np.flatnonzero(allowed & (reduced < -FEAS_TOL))
             if candidates.size == 0:
-                return "optimal"
+                return "optimal", pivots
             enter = int(candidates[0])
         else:
             masked = np.where(allowed, reduced, np.inf)
             enter = int(np.argmin(masked))
             if masked[enter] >= -FEAS_TOL:
-                return "optimal"
+                return "optimal", pivots
         col = tableau[:-1, enter]
         rows = np.flatnonzero(col > PIVOT_TOL)
         if rows.size == 0:
-            return "unbounded"
+            return "unbounded", pivots
         ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
         best = ratios.min()
         # ties must stay essentially exact: a loose tie window can pick a row
@@ -207,8 +212,65 @@ def _independent_rows(a: np.ndarray, b: np.ndarray):
     return kept, None
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve the program, returning an optimal basic solution when one exists."""
+def _first_tableau(a: np.ndarray, b: np.ndarray, first: np.ndarray):
+    """Tableau [A | I_art | b] with an artificial column on every row that
+    ``first`` leaves without a basic column (entry -1); returns it with the
+    basis and the artificial rows."""
+    m, n_std = a.shape
+    art_rows = np.flatnonzero(first < 0)
+    tableau = np.zeros((m + 1, n_std + art_rows.size + 1))
+    tableau[:m, :n_std] = a
+    tableau[:m, -1] = b
+    basis = first.copy()
+    basis[art_rows] = n_std + np.arange(art_rows.size)
+    tableau[art_rows, basis[art_rows]] = 1.0
+    return tableau, basis, art_rows
+
+
+def _warm_start(tableau: np.ndarray, basis: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
+    """Turn the first tableau [A | I_art | b] into B^-1 [A | I_art | b] for the
+    basis B on ``basis``, in place; False (nothing changed) when B is singular
+    or a basic structural or slack value is below -FEAS_TOL.
+
+    A row whose artificial would start negative is negated in ``a`` and ``b``,
+    which negates only that artificial's value: the artificial columns stay
+    +e_i, so the phase-1 rebuild is unchanged.
+    """
+    m, n_std = a.shape
+    if np.unique(basis).size < m:
+        return False
+    try:
+        fresh = np.linalg.solve(tableau[:m, basis], tableau[:m])
+    except np.linalg.LinAlgError:
+        return False
+    values = fresh[:, -1]
+    artificial = basis >= n_std
+    if not np.all(np.isfinite(fresh)) or np.any(values[~artificial] < -FEAS_TOL):
+        return False
+    flip = artificial & (values < 0)
+    # the negated program has B' = D B D (D negates the flipped rows), so its
+    # tableau is D B^-1 [A | D I_art | b]
+    fresh[:, basis[flip]] *= -1.0
+    fresh[flip] *= -1.0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    fresh[:, basis] = np.eye(m)
+    np.maximum(fresh[:, -1], 0.0, out=fresh[:, -1])  # rounding negatives
+    tableau[:m] = fresh
+    return True
+
+
+def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
+    """Solve the program, returning an optimal basic solution when one exists.
+
+    ``start`` optionally names a starting basis: one column index per row of
+    the program (the rows of ``a_eq``, then those of ``a_ub``), or -1 where
+    the row keeps its slack or artificial.  Entries of rows that the rank
+    pass drops as dependent are discarded.  Phase 1 then starts from
+    B^-1 [A | b] and only has to drive out the artificials of the -1 rows.  A
+    start whose basis is singular or infeasible (a basic value below
+    -FEAS_TOL) is ignored, and the solve proceeds from the default basis.
+    """
     n = lp.n_vars
     # shift to nonnegative variables: y = x - lower
     b_eq = lp.b_eq - lp.a_eq @ lp.lower if lp.a_eq.shape[0] else lp.b_eq.copy()
@@ -226,6 +288,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     m_eq, m_ub = lp.a_eq.shape[0], a_ub.shape[0]
     m = m_eq + m_ub
     n_slack = m_ub
+    if start is not None:
+        start = np.asarray(start, dtype=int).ravel()
+        if start.size != m_eq + lp.a_ub.shape[0] or np.any((start < -1) | (start >= n)):
+            raise InputError("start must give one column index or -1 per program row")
+        # the rows of finite upper bounds keep their slacks
+        start = np.concatenate([start, np.full(finite_ub.size, -1)])
     a = np.zeros((m, n + n_slack))
     b = np.concatenate([b_eq, b_ub])
     if m_eq:
@@ -252,34 +320,34 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             a = a[kept_idx]
             b = b[kept_idx]
             slack_col = slack_col[kept_idx]
+            if start is not None:
+                start = start[kept_idx]
             m = len(kept_idx)
-    # artificial variables wherever no slack can serve as the initial basis
-    art_rows = np.flatnonzero(slack_col < 0)
+    # artificial variables wherever neither the start nor a slack can serve
+    # as the initial basis
+    tableau = None
+    if start is not None:
+        tableau, basis, art_rows = _first_tableau(a, b, np.where(start >= 0, start, slack_col))
+        if not _warm_start(tableau, basis, a, b):
+            tableau = None
+    if tableau is None:
+        tableau, basis, art_rows = _first_tableau(a, b, slack_col)
     n_art = art_rows.size
     total = n + n_slack + n_art
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, : n + n_slack] = a
-    tableau[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        if slack_col[i] >= 0:
-            basis[i] = slack_col[i]
-    for k, i in enumerate(art_rows):
-        col = n + n_slack + k
-        tableau[i, col] = 1.0
-        basis[i] = col
 
+    pivots1 = 0
     if n_art:
         allowed = np.ones(total, dtype=bool)
         allowed[n + n_slack :] = False  # artificials never re-enter
         phase1 = np.zeros(total)
         phase1[n + n_slack :] = 1.0
         _set_objective_row(tableau, basis, phase1)
-        status = _run_simplex(tableau, basis, allowed)
+        status, pivots1 = _run_simplex(tableau, basis, allowed)
         if status != "optimal":
             raise InternalError("phase-1 simplex cannot be unbounded")
         if -tableau[-1, -1] > FEAS_TOL:
-            return LpSolution("infeasible", None, None, max_violation=float(-tableau[-1, -1]))
+            return LpSolution("infeasible", None, None, max_violation=float(-tableau[-1, -1]),
+                              pivots=(pivots1, 0))
         if np.any(basis >= n + n_slack):
             # rebuild the tableau exactly from the terminal basis: the pivoted
             # rows drift, and redundancy decisions must not be made on noise
@@ -300,6 +368,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                 pivot_col = int(np.argmax(np.abs(row)))
                 if abs(row[pivot_col]) > FEAS_TOL:
                     _pivot(tableau, basis, i, pivot_col)
+                    pivots1 += 1
                 else:
                     keep_rows[i] = False
         rows = np.concatenate([np.flatnonzero(keep_rows), [m]])
@@ -318,12 +387,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     scale = 1.0 + float(np.max(np.abs(costs)))
     x_std = None
     seen = set()
+    pivots2 = 0
     for _ in range(8):
         _set_objective_row(tableau, basis, costs)
-        status = _run_simplex(tableau, basis, allowed)
+        status, run = _run_simplex(tableau, basis, allowed)
+        pivots2 += run
         _dump_tableau(tableau, basis, f"phase 2 ({status})")
         if status == "unbounded":
-            return LpSolution("unbounded", None, None)
+            return LpSolution("unbounded", None, None, pivots=(pivots1, pivots2))
         basis_cols = a[:, basis]
         xb, *_ = np.linalg.lstsq(basis_cols, b, rcond=None)
         dual, *_ = np.linalg.lstsq(basis_cols.T, costs[basis], rcond=None)
@@ -355,4 +426,5 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     finite = np.isfinite(lp.upper)
     if np.any(finite):
         violation = max(violation, float(np.max(np.maximum(x[finite] - lp.upper[finite], 0.0))))
-    return LpSolution("optimal", x, objective, max_violation=violation)
+    return LpSolution("optimal", x, objective, max_violation=violation,
+                      pivots=(pivots1, pivots2))

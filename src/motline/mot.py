@@ -87,6 +87,14 @@ class CostSpec:
         return np.broadcast_to(grid, (len(mu), len(nu))).copy()
 
 
+def _row_scale(*measures: DiscreteMeasure) -> float:
+    """Unit in which a row violation is judged when barycentre rows carry the
+    atoms as coefficients: max(1, max |atom|).  An accurate vertex breaks
+    such a row by rounding in proportion to the atoms, so an absolute
+    FEAS_TOL would reject it on wide supports."""
+    return max(1.0, *(float(np.max(np.abs(m.atoms))) for m in measures))
+
+
 def _martingale_system(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Equality system (marginals + martingale rows) over the mu x nu grid."""
     gaps = nu.atoms[None, :] - mu.atoms[:, None]
@@ -102,7 +110,7 @@ def mot_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
         raise ConvexOrderError("marginals are not in convex order")
     if sol.status != "optimal":
         raise InternalError(f"martingale LP reported {sol.status}")
-    if sol.max_violation > FEAS_TOL:
+    if sol.max_violation > FEAS_TOL * _row_scale(mu, nu):
         raise InternalError(f"martingale LP point breaks its rows by {sol.max_violation:.3g}")
     masses = sol.x.reshape(len(mu), len(nu))
     return sol.objective, grid_coupling(mu, nu, masses, _DROP)
@@ -276,7 +284,7 @@ def competitor_improve(alpha: DiscreteCoupling, cost: CostSpec,
     sol = solve_lp(LinearProgram(objective=cost_matrix.ravel(), a_eq=a_eq, b_eq=b_eq))
     if sol.status != "optimal":
         raise InternalError(f"competitor LP reported {sol.status} on a feasible instance")
-    if sol.max_violation > FEAS_TOL:
+    if sol.max_violation > FEAS_TOL * _row_scale(sa, sb):
         raise InternalError(f"competitor LP point breaks its rows by {sol.max_violation:.3g}")
     if sol.objective < current - tol:
         return grid_coupling(sa, sb, sol.x.reshape(m, k), _DROP)
@@ -387,7 +395,7 @@ def kappa_competitor_improve(alpha: DiscreteCoupling, gammas: dict, kappa: Kappa
     sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq))
     if sol.status != "optimal":
         raise InternalError(f"kappa competitor LP reported {sol.status} on a feasible instance")
-    if sol.max_violation > FEAS_TOL:
+    if sol.max_violation > FEAS_TOL * _row_scale(sa, sb):
         raise InternalError(
             f"kappa competitor LP point breaks its rows by {sol.max_violation:.3g}")
     if sol.objective >= current - tol:

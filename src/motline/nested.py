@@ -16,8 +16,8 @@ from .measures import (
     barycentre_report,
     make_coupling,
 )
-from .transport import (TransportPlan, _require_p, grid_rows, optimal_coupling_1d,
-                        solve_transport, w_p_1d)
+from .transport import (TransportPlan, _require_p, grid_rows, north_west_corner,
+                        optimal_coupling_1d, solve_transport, w_p_1d)
 
 _DROP = 1e-12
 
@@ -102,7 +102,9 @@ def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
     epigraph pairs e+[i, b], e-[i, b] for b < k - 1 (2 * m * (k - 1)); none
     depends on the number of support points.  The rows are
     T_r(b) + e+[i, b] - e-[i, b] = F_i(b), the target row sums mu_r, the
-    column sums nu_b and the m martingale rows.  Returns (inner objective
+    column sums nu_b and the m martingale rows.  The simplex starts from the
+    north-west-corner target plan, which meets every row but the martingale
+    rows (see ``_north_west_start``).  Returns (inner objective
     value, target masses) or raises ConvexOrderError when the martingale
     polytope is empty.  A solver point that breaks a row by more than
     FEAS_TOL (lengths in units of the second marginal's span) raises
@@ -135,7 +137,8 @@ def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
     b_eq = np.concatenate([cdf.ravel(), mu.weights, nu.weights, np.zeros(m)])
     objective = np.concatenate([np.zeros(n_tgt), np.tile(np.diff(nu.atoms) / span, 2 * m)])
 
-    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq))
+    start = _north_west_start(mu.weights, nu.weights, cdf, pairing)
+    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq), start=start)
     if sol.status == "infeasible":
         raise ConvexOrderError("martingale polytope is empty: marginals not in convex order")
     if sol.status != "optimal":
@@ -143,6 +146,27 @@ def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
     if sol.max_violation > FEAS_TOL:
         raise InternalError(f"projection LP point breaks its rows by {sol.max_violation:.3g}")
     return span * sol.objective, sol.x[:n_tgt].reshape(m, k)
+
+
+def _north_west_start(mu_w, nu_w, cdf, pairing):
+    """Starting basis of the projection LP from the north-west-corner target.
+
+    Its m + k - 1 cells are basic on the m row-sum rows and on column-sum
+    rows 0..k-2 (the last column sum is the row the rank pass drops).  Each
+    cumulative row (i, b) takes e+[i, b] or e-[i, b], whichever the sign of
+    F_i(b) - T_{pairing[i]}(b) makes nonnegative.  Only the m martingale rows
+    are left to artificials.
+    """
+    m, k = len(mu_w), len(nu_w)
+    n_tgt, n_gap = m * k, m * (k - 1)
+    rows, cols, masses = north_west_corner(mu_w, nu_w)
+    target = np.zeros((m, k))
+    target[rows, cols] = masses
+    below = cdf < np.cumsum(target, axis=1)[pairing, : k - 1]
+    start = np.full(n_gap + 2 * m + k, -1)
+    start[:n_gap] = n_tgt + np.arange(n_gap) + n_gap * below.ravel()
+    start[n_gap : n_gap + m + k - 1] = rows * k + cols
+    return start
 
 
 def project_to_martingale(pi: DiscreteCoupling) -> ProjectionResult:
@@ -162,14 +186,19 @@ def project_to_martingale(pi: DiscreteCoupling) -> ProjectionResult:
               for r, b in zip(*np.nonzero(target > _DROP))]
     projected = make_coupling(points)
 
+    # kernel i of the projection must be the image of kernel i of pi: a row
+    # dropped or merged on the way would shift the pairing below
+    if not np.array_equal(projected.first_marginal.atoms, mu.atoms):
+        raise InternalError("projected coupling does not keep the first marginal's atoms")
+
     # given the optimal target, the cheapest inner plans under |x2 - y2| are
     # the monotone couplings, whose marginals are exact by construction
     outer = TransportPlan(mu, mu, np.diag(mu.weights))
     inners = {}
     cost = 0.0
-    proj_kernels = {float(x): kern for x, _, kern in projected.kernel_items()}
-    for i, (x1, weight, kernel) in enumerate(pi.kernel_items()):
-        plan = optimal_coupling_1d(kernel, proj_kernels[float(mu.atoms[i])])
+    pairs = zip(pi.kernel_items(), projected.kernel_items())
+    for i, ((_, weight, kernel), (_, _, image)) in enumerate(pairs):
+        plan = optimal_coupling_1d(kernel, image)
         inners[(i, i)] = plan
         cost += weight * plan.cost_p(1.0)
     witness = BicausalPlan(outer, inners, 1.0, cost)

@@ -93,6 +93,29 @@ def grid_rows(m: int, k: int, extra=()) -> np.ndarray:
     return rows
 
 
+def north_west_corner(source_w: np.ndarray, target_w: np.ndarray):
+    """Cells and masses of the north-west-corner (quantile) plan.
+
+    Returns (rows, cols, masses) for the m + k - 1 cells of the staircase
+    from (0, 0) to (m - 1, k - 1) that steps down when the source's
+    cumulative mass falls short of the target's and right otherwise; cells
+    where both run out together carry zero mass.  The cells are a basis of
+    the transportation rows less the last column sum (Dantzig 1963).
+    """
+    cum_s, cum_t = np.cumsum(source_w), np.cumsum(target_w)
+    m, k = cum_s.size, cum_t.size
+    rows, cols = [0], [0]
+    while rows[-1] < m - 1 or cols[-1] < k - 1:
+        i, j = rows[-1], cols[-1]
+        down = j == k - 1 or (i < m - 1 and cum_s[i] < cum_t[j])
+        rows.append(i + down)
+        cols.append(j + (not down))
+    rows, cols = np.array(rows), np.array(cols)
+    upper = np.minimum(cum_s[rows], cum_t[cols])
+    lower = np.maximum(np.r_[0.0, cum_s][rows], np.r_[0.0, cum_t][cols])
+    return rows, cols, np.maximum(upper - lower, 0.0)
+
+
 def grid_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, masses: np.ndarray,
                   drop: float) -> DiscreteCoupling:
     """Coupling carrying the masses above ``drop`` of a grid over mu x nu."""

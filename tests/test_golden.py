@@ -4,13 +4,17 @@ The input files under ``tests/golden/inputs`` and the expected outputs under
 ``tests/golden/expected`` are frozen.  Each case runs ``motline`` through
 ``cli.main`` and compares its stdout byte for byte, plus the exit code, so a
 refactor that moves any certified number, pivot choice or serialised digit
-fails here.  To rewrite the corpus on purpose (and say why in CHANGES.md)::
+fails here.  To see what a change moves, and then to rewrite the corpus on
+purpose (and say why in CHANGES.md)::
 
+    PYTHONPATH=src python tests/test_golden.py --diff
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import contextlib
 import io
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -136,8 +140,72 @@ def _write_expected():
         (EXPECTED / f"{name}.out").write_bytes(out)
 
 
+def _numbers(value, path=""):
+    """(path, number) for every number in one decoded output line.  The points
+    of a coupling are keyed by their coordinates, so a moved support shows as
+    masses that appear or vanish."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key == "points" and all(isinstance(p, list) and len(p) == 3 for p in item):
+                for x1, x2, w in item:
+                    yield f"{path}.points[{x1!r},{x2!r}]", float(w)
+            else:
+                yield from _numbers(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _numbers(item, f"{path}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, float(value)
+
+
+def _decode(out: bytes) -> dict:
+    """Every number of an output by path; a line that is not JSON is read as
+    comma-separated cells."""
+    numbers = {}
+    for n, line in enumerate(out.decode("utf-8").splitlines()):
+        try:
+            value = json.loads(line)
+        except ValueError:
+            value = []
+            for cell in line.split(","):
+                try:
+                    value.append(float(cell))
+                except ValueError:
+                    value.append(cell)
+        numbers.update(_numbers(value, f"line{n}"))
+    return numbers
+
+
+def _diff_expected():
+    """Print, per expected file whose bytes would change, the change in
+    support size and the largest absolute and relative change of each field
+    (list indices and point coordinates folded)."""
+    for name, argv, exit_code in CASES:
+        code, out = _run(argv)
+        old = (EXPECTED / f"{name}.out").read_bytes()
+        if code == exit_code and out == old:
+            continue
+        before, after = _decode(old), _decode(out)
+        support = [sum(".points[" in key for key in side) for side in (before, after)]
+        print(f"{name}: exit {code} (expected {exit_code}), support {support[0]} -> {support[1]}")
+        fields = {}
+        for key in sorted(before.keys() | after.keys()):
+            a, b = before.get(key, 0.0), after.get(key, 0.0)
+            delta = abs(b - a)
+            rel = delta / max(abs(a), abs(b)) if delta else 0.0
+            field = re.sub(r"\[[^\]]*\]", "[]", key)
+            worst = fields.get(field, (0.0, 0.0))
+            fields[field] = (max(worst[0], delta), max(worst[1], rel))
+        for field, (delta, rel) in fields.items():
+            if delta:
+                print(f"  {field}: max |d| {delta:.3g}, max rel {rel:.3g}")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: python tests/test_golden.py --write")
-    _write_inputs()
-    _write_expected()
+    if sys.argv[1:] == ["--write"]:
+        _write_inputs()
+        _write_expected()
+    elif sys.argv[1:] == ["--diff"]:
+        _diff_expected()
+    else:
+        raise SystemExit("usage: python tests/test_golden.py --write | --diff")

@@ -3,7 +3,21 @@ import random
 import numpy as np
 import pytest
 
-from motline import InputError, LinearProgram, solve_lp
+import motline.mot as mot
+import motline.nested as nested
+from motline import (
+    CostSpec,
+    InputError,
+    LinearProgram,
+    make_coupling,
+    mot_solve,
+    project_to_martingale,
+    random_convex_pair,
+    random_coupling,
+    solve_lp,
+)
+from motline.lp import FEAS_TOL
+from motline.transport import grid_rows, north_west_corner
 
 from conftest import transport_bruteforce, transport_system
 
@@ -102,3 +116,104 @@ def test_rejects_malformed_programs():
         LinearProgram(objective=[np.inf])
     with pytest.raises(InputError):
         LinearProgram(objective=[1.0], lower=[2.0], upper=[1.0])
+
+
+def _built_lp(monkeypatch, module, call):
+    """The program and start that ``call`` hands to ``module.solve_lp``."""
+    seen = []
+    original = module.solve_lp
+
+    def record(lp, start=None):
+        seen.append((lp, start))
+        return original(lp, start=start)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "solve_lp", record)
+        call()
+    return seen[-1]
+
+
+def test_pivot_counts_are_pinned(monkeypatch):
+    # pivot sequences are deterministic: these counts move only when the
+    # simplex, or a program or start handed to it, changes
+    rng = np.random.default_rng(6)
+    cost, sw, tw = rng.random((6, 6)), rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
+    transport = LinearProgram(objective=cost.ravel(), a_eq=grid_rows(6, 6), b_eq=np.r_[sw, tw])
+    assert solve_lp(transport).pivots == (17, 11)
+    mu, nu = random_convex_pair(5, m=5, k=10)
+    martingale, _ = _built_lp(monkeypatch, mot, lambda: mot_solve(mu, nu, CostSpec.absolute()))
+    assert solve_lp(martingale).pivots == (31, 9)
+    pi = random_coupling(6, mu, nu, blend=3)
+    projection, start = _built_lp(monkeypatch, nested, lambda: project_to_martingale(pi))
+    cold, warm = solve_lp(projection), solve_lp(projection, start=start)
+    assert cold.pivots == (119, 7)
+    assert warm.pivots == (17, 22)
+    assert sum(warm.pivots) < sum(cold.pivots)
+
+
+def _north_west_start(sw, tw):
+    rows, cols, _ = north_west_corner(sw, tw)
+    start = np.full(len(sw) + len(tw), -1)
+    start[: rows.size] = rows * len(tw) + cols
+    return start
+
+
+def _assert_same_optimum(lp, start):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    cold, warm = solve_lp(lp), solve_lp(lp, start=start)
+    assert cold.status == warm.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-15)
+    expected = linprog(lp.objective, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None),
+                       method="highs").fun
+    assert warm.objective == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    assert max(cold.max_violation, warm.max_violation) <= FEAS_TOL
+
+
+SCALES = [(1.0, 0.0), (1e-3, 0.0), (1.0, 25.0), (1e-3, -0.04)]
+
+
+@pytest.mark.parametrize("scale, shift", SCALES)
+def test_start_basis_keeps_the_transport_optimum(scale, shift):
+    for seed in range(12):
+        m = 3 + seed % 6
+        mu, nu = random_convex_pair(seed, m=m, k=m + 1 + seed % 4, radius=1.0)
+        x, y = scale * mu.atoms + shift, scale * nu.atoms + shift
+        # a concave cost, so the north-west corner is not already optimal
+        cost = np.sqrt(np.abs(x[:, None] - y[None, :]))
+        lp = LinearProgram(objective=cost.ravel(), a_eq=grid_rows(len(mu), len(nu)),
+                           b_eq=np.r_[mu.weights, nu.weights])
+        _assert_same_optimum(lp, _north_west_start(mu.weights, nu.weights))
+
+
+@pytest.mark.parametrize("scale, shift", SCALES)
+def test_start_basis_keeps_the_projection_optimum(monkeypatch, scale, shift):
+    for seed in range(12):
+        m = 3 + seed % 6
+        mu, nu = random_convex_pair(seed, m=m, k=m + 1 + seed % 4, radius=1.0)
+        pi = random_coupling(seed + 70, mu, nu)
+        pi = make_coupling([(scale * a + shift, scale * b + shift, w)
+                            for a, b, w in zip(pi.x1, pi.x2, pi.w)])
+        lp, start = _built_lp(monkeypatch, nested, lambda: project_to_martingale(pi))
+        _assert_same_optimum(lp, start)
+
+
+def test_singular_or_infeasible_start_falls_back_to_the_default_basis():
+    sw, tw = np.array([0.6, 0.3, 0.1]), np.array([0.1, 0.3, 0.6])
+    cost = np.array([[4.0, 1.0, 2.0], [0.5, 3.0, 1.0], [2.0, 2.5, 0.1]])
+    lp = LinearProgram(objective=cost.ravel(), a_eq=grid_rows(3, 3), b_eq=np.r_[sw, tw])
+    cold = solve_lp(lp)
+    # cells (0,0), (0,1), (1,0), (1,1) close a cycle, so their columns are
+    # dependent; the south-west staircase needs x[1,0] = 0.1 - 0.6 - 0.3 < 0
+    for start in ([0, 1, 3, 4, 8, -1], [0, 3, 6, 7, 8, -1]):
+        warm = solve_lp(lp, start=start)
+        assert warm.status == "optimal"
+        assert warm.x.tolist() == cold.x.tolist() and warm.pivots == cold.pivots
+    assert solve_lp(lp, start=_north_west_start(sw, tw)).objective == pytest.approx(
+        cold.objective, rel=1e-12)
+
+
+def test_rejects_malformed_start():
+    lp = LinearProgram(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    for start in ([0, 1], [2], [-2]):
+        with pytest.raises(InputError):
+            solve_lp(lp, start=start)

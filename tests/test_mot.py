@@ -514,6 +514,32 @@ def test_mot_lps_reject_point_that_breaks_their_rows(monkeypatch, caller):
         getattr(mot, caller)(*args)
 
 
+def test_mot_row_checks_scale_with_the_atoms(monkeypatch):
+    # at radius 1e4 an accurate vertex breaks the barycentre rows by ~1e-9
+    # through rounding alone; both pairs raised under an absolute FEAS_TOL
+    import motline.mot as mot
+
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    original = mot.solve_lp
+    gaps = []
+
+    def against_highs(lp):
+        sol = original(lp)
+        expected = linprog(lp.objective, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None),
+                           method="highs").fun
+        gaps.append(abs(sol.objective - expected) / max(abs(expected), 1e-300))
+        return sol
+
+    monkeypatch.setattr(mot, "solve_lp", against_highs)
+    cost = CostSpec.absolute()
+    mu, nu = random_convex_pair(1230251019, 11, 22, radius=1e4)
+    mot_solve(mu, nu, cost)
+    mu, nu = random_convex_pair(1784566698, 8, 16, radius=1e4)
+    _, optimizer = mot_solve(mu, nu, cost)
+    monotonicity_check(optimizer, cost, 40, 4, 688261701)
+    assert len(gaps) > 2 and max(gaps) <= 1e-9
+
+
 def test_penalized_ot_fails_loudly_off_its_rows():
     # a benchmark pool slot where the simplex returned a point off the
     # penalized LP's rows (value 2.46565 against the MOT value 2.32145)

@@ -150,9 +150,9 @@ def test_projection_lp_columns_do_not_depend_on_support_size(monkeypatch):
     shapes = []
     original = nested.solve_lp
 
-    def record(lp):
+    def record(lp, start=None):
         shapes.append(lp.a_eq.shape)
-        return original(lp)
+        return original(lp, start=start)
 
     monkeypatch.setattr(nested, "solve_lp", record)
     mu, nu = random_convex_pair(3, m=4, k=7)
@@ -170,11 +170,29 @@ def test_projection_lp_rejects_point_that_breaks_its_rows(monkeypatch):
 
     original = nested.solve_lp
 
-    def off_rows(lp):
-        sol = original(lp)
+    def off_rows(lp, start=None):
+        sol = original(lp, start=start)
         return LpSolution(sol.status, sol.x, sol.objective, max_violation=2e-3)
 
     monkeypatch.setattr(nested, "solve_lp", off_rows)
     mu, nu = random_convex_pair(3, m=4, k=7)
     with pytest.raises(InternalError, match="breaks its rows"):
+        project_to_martingale(random_coupling(5, mu, nu))
+
+
+def test_projection_rejects_target_that_loses_a_first_marginal_atom(monkeypatch):
+    import motline.nested as nested
+
+    original = nested._projection_lp
+
+    def merge_first_row(pi, pairing=None):
+        value, target = original(pi, pairing)
+        target = target.copy()
+        target[1] += target[0]
+        target[0] = 0.0
+        return value, target
+
+    monkeypatch.setattr(nested, "_projection_lp", merge_first_row)
+    mu, nu = random_convex_pair(3, m=4, k=7)
+    with pytest.raises(InternalError, match="first marginal"):
         project_to_martingale(random_coupling(5, mu, nu))
