@@ -144,7 +144,10 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray):
             if masked[enter] >= -FEAS_TOL:
                 return "optimal", pivots
         col = tableau[:-1, enter]
-        rows = np.flatnonzero(col > PIVOT_TOL)
+        # relative threshold (Harris 1973): an entry far below the column's
+        # largest is elimination noise, and pivoting on it throws the
+        # iterate off its rows
+        rows = np.flatnonzero(col > max(PIVOT_TOL, 1e-9 * np.max(np.abs(col), initial=0.0)))
         if rows.size == 0:
             return "unbounded", pivots
         ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]

@@ -18,7 +18,8 @@ from .measures import (
     DiscreteMeasure,
     make_coupling,
 )
-from .transport import TransportPlan, grid_coupling, grid_rows, solve_transport
+from .transport import (TransportPlan, grid_coupling, grid_rows, north_west_start,
+                        solve_transport)
 
 _DROP = 1e-12
 IMPROVE_TOL = 1e-7
@@ -102,10 +103,21 @@ def _martingale_system(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return grid_rows(len(mu), len(nu), [gaps]), b
 
 
-def mot_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
-    """Minimal expected cost over martingale couplings; returns (value, optimizer)."""
+def _solve_martingale_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, objective: np.ndarray):
+    """The martingale LP from the north-west-corner (quantile) basis, which
+    meets the marginal rows, so phase 1 repairs only the m martingale rows."""
     a, b = _martingale_system(mu, nu)
-    sol = solve_lp(LinearProgram(objective=cost.matrix_for(mu, nu).ravel(), a_eq=a, b_eq=b))
+    start, _ = north_west_start(mu.weights, nu.weights, len(mu))
+    return solve_lp(LinearProgram(objective=objective, a_eq=a, b_eq=b), start=start)
+
+
+def mot_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
+    """Minimal expected cost over martingale couplings; returns (value, optimizer).
+
+    The simplex starts from the north-west-corner coupling, with artificials
+    only on the martingale rows.
+    """
+    sol = _solve_martingale_lp(mu, nu, cost.matrix_for(mu, nu).ravel())
     if sol.status == "infeasible":
         raise ConvexOrderError("marginals are not in convex order")
     if sol.status != "optimal":
@@ -117,10 +129,12 @@ def mot_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
 
 
 def strassen_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
-    """LP feasibility of the martingale polytope; agrees with the convex-order test."""
-    a, b = _martingale_system(mu, nu)
-    sol = solve_lp(LinearProgram(objective=np.zeros(len(mu) * len(nu)), a_eq=a, b_eq=b))
-    return sol.status == "optimal"
+    """LP feasibility of the martingale polytope; agrees with the convex-order test.
+
+    Phase 1 starts from the north-west-corner coupling, with artificials only
+    on the martingale rows.
+    """
+    return _solve_martingale_lp(mu, nu, np.zeros(len(mu) * len(nu))).status == "optimal"
 
 
 def penalized_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, L: float) -> float:
@@ -128,6 +142,12 @@ def penalized_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, L: fl
     inequalities with the barycentre deviation charged at the Lipschitz rate.
 
     For an L-Lipschitz cost this equals the martingale transport value.
+
+    The simplex starts from the north-west-corner (quantile) coupling, with
+    each t_i basic on the +deviation or -deviation row that the sign of that
+    coupling's deviation at atom i picks, and slacks on the other rows.  For
+    a convex-order pair this basis is complete and feasible, so phase 1 makes
+    no pivot.
     """
     m, k = len(mu), len(nu)
     n_pi = m * k  # then one epigraph variable t_i per first-marginal atom
@@ -143,10 +163,17 @@ def penalized_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, L: fl
     a_ub[m + 1 :: 2, :n_pi] = rows[m + k + m :]
     a_ub[m + np.arange(2 * m), n_pi + np.arange(2 * m) // 2] = -1.0
 
+    # t_i starts at |deviation_i| of the north-west plan: basic on its
+    # +deviation row (program row m + k + m + 2i) or on the -deviation row
+    # after it
+    start, plan = north_west_start(mu.weights, nu.weights, 3 * m)
+    negative = np.sum(plan * gaps, axis=1) < 0
+    start[m + k + m + 2 * np.arange(m) + negative] = n_pi + np.arange(m)
+
     objective = np.concatenate([cost.matrix_for(mu, nu).ravel(), np.full(m, float(L))])
     sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq,
                                  b_eq=np.concatenate([mu.weights, nu.weights]),
-                                 a_ub=a_ub, b_ub=np.zeros(3 * m)))
+                                 a_ub=a_ub, b_ub=np.zeros(3 * m)), start=start)
     if sol.status == "infeasible":
         raise ConvexOrderError("no dispersion-feasible coupling: marginals not in convex order")
     if sol.status != "optimal":

@@ -16,7 +16,7 @@ from .measures import (
     barycentre_report,
     make_coupling,
 )
-from .transport import (TransportPlan, _require_p, grid_rows, north_west_corner,
+from .transport import (TransportPlan, _require_p, grid_rows, north_west_start,
                         optimal_coupling_1d, solve_transport, w_p_1d)
 
 _DROP = 1e-12
@@ -151,22 +151,16 @@ def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
 def _north_west_start(mu_w, nu_w, cdf, pairing):
     """Starting basis of the projection LP from the north-west-corner target.
 
-    Its m + k - 1 cells are basic on the m row-sum rows and on column-sum
-    rows 0..k-2 (the last column sum is the row the rank pass drops).  Each
-    cumulative row (i, b) takes e+[i, b] or e-[i, b], whichever the sign of
+    Its grid cells come from ``north_west_start``.  Each cumulative row
+    (i, b) takes e+[i, b] or e-[i, b], whichever the sign of
     F_i(b) - T_{pairing[i]}(b) makes nonnegative.  Only the m martingale rows
     are left to artificials.
     """
     m, k = len(mu_w), len(nu_w)
     n_tgt, n_gap = m * k, m * (k - 1)
-    rows, cols, masses = north_west_corner(mu_w, nu_w)
-    target = np.zeros((m, k))
-    target[rows, cols] = masses
+    grid, target = north_west_start(mu_w, nu_w, m)
     below = cdf < np.cumsum(target, axis=1)[pairing, : k - 1]
-    start = np.full(n_gap + 2 * m + k, -1)
-    start[:n_gap] = n_tgt + np.arange(n_gap) + n_gap * below.ravel()
-    start[n_gap : n_gap + m + k - 1] = rows * k + cols
-    return start
+    return np.concatenate([n_tgt + np.arange(n_gap) + n_gap * below.ravel(), grid])
 
 
 def project_to_martingale(pi: DiscreteCoupling) -> ProjectionResult:

@@ -93,14 +93,21 @@ def grid_rows(m: int, k: int, extra=()) -> np.ndarray:
     return rows
 
 
-def north_west_corner(source_w: np.ndarray, target_w: np.ndarray):
-    """Cells and masses of the north-west-corner (quantile) plan.
+def north_west_start(source_w: np.ndarray, target_w: np.ndarray, extra_rows: int = 0):
+    """Starting basis for ``solve_lp`` from the north-west-corner (quantile)
+    plan, over an LP whose variables begin with a row-major m x k grid and
+    whose rows begin with ``grid_rows(m, k)``.
 
-    Returns (rows, cols, masses) for the m + k - 1 cells of the staircase
-    from (0, 0) to (m - 1, k - 1) that steps down when the source's
-    cumulative mass falls short of the target's and right otherwise; cells
-    where both run out together carry zero mass.  The cells are a basis of
-    the transportation rows less the last column sum (Dantzig 1963).
+    The plan's m + k - 1 cells run in a staircase from (0, 0) to
+    (m - 1, k - 1) that steps down when the source's cumulative mass falls
+    short of the target's and right otherwise; cells where both run out
+    together carry zero mass.  They are a basis of the transportation rows
+    less the last column sum (Dantzig 1963), and they meet every grid row.
+
+    Returns (start, plan).  ``start`` puts the cells on the m row-sum rows and
+    on column-sum rows 0..k-2; the last column sum (the row the rank pass
+    drops) and the ``extra_rows`` rows after the grid rows get -1, so they
+    keep their slack or artificial.  ``plan`` is the m x k mass matrix.
     """
     cum_s, cum_t = np.cumsum(source_w), np.cumsum(target_w)
     m, k = cum_s.size, cum_t.size
@@ -113,7 +120,11 @@ def north_west_corner(source_w: np.ndarray, target_w: np.ndarray):
     rows, cols = np.array(rows), np.array(cols)
     upper = np.minimum(cum_s[rows], cum_t[cols])
     lower = np.maximum(np.r_[0.0, cum_s][rows], np.r_[0.0, cum_t][cols])
-    return rows, cols, np.maximum(upper - lower, 0.0)
+    plan = np.zeros((m, k))
+    plan[rows, cols] = np.maximum(upper - lower, 0.0)
+    start = np.full(m + k + extra_rows, -1)
+    start[: rows.size] = rows * k + cols
+    return start, plan
 
 
 def grid_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, masses: np.ndarray,
@@ -125,13 +136,19 @@ def grid_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, masses: np.ndarray,
 
 
 def solve_transport(cost: np.ndarray, source_w: np.ndarray, target_w: np.ndarray):
-    """Transportation LP: returns (optimal value, mass matrix)."""
+    """Transportation LP: returns (optimal value, mass matrix).
+
+    The simplex starts from the north-west-corner plan (``north_west_start``),
+    a feasible basis of every row, so phase 1 makes no pivot.
+    """
     cost = np.asarray(cost, dtype=float)
     n1, n2 = cost.shape
     if n1 != len(source_w) or n2 != len(target_w):
         raise InputError("cost matrix shape must match the weight vectors")
     b_eq = np.concatenate([source_w, target_w])
-    sol = solve_lp(LinearProgram(objective=cost.ravel(), a_eq=grid_rows(n1, n2), b_eq=b_eq))
+    start, _ = north_west_start(source_w, target_w)
+    sol = solve_lp(LinearProgram(objective=cost.ravel(), a_eq=grid_rows(n1, n2), b_eq=b_eq),
+                   start=start)
     if sol.status != "optimal":
         raise InternalError(f"transportation LP reported {sol.status}")
     if sol.max_violation > FEAS_TOL:

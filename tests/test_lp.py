@@ -5,19 +5,27 @@ import pytest
 
 import motline.mot as mot
 import motline.nested as nested
+import motline.transport as transport
 from motline import (
     CostSpec,
     InputError,
+    KappaSpec,
     LinearProgram,
+    competitor_improve,
+    kappa_competitor_improve,
     make_coupling,
     mot_solve,
+    optimal_coupling_1d,
+    penalized_ot,
     project_to_martingale,
     random_convex_pair,
     random_coupling,
     solve_lp,
+    solve_transport,
+    strassen_feasible,
 )
 from motline.lp import FEAS_TOL
-from motline.transport import grid_rows, north_west_corner
+from motline.transport import grid_rows, north_west_start
 
 from conftest import transport_bruteforce, transport_system
 
@@ -135,27 +143,85 @@ def _built_lp(monkeypatch, module, call):
 
 def test_pivot_counts_are_pinned(monkeypatch):
     # pivot sequences are deterministic: these counts move only when the
-    # simplex, or a program or start handed to it, changes
+    # simplex, or a program or start handed to it, changes.  Each program is
+    # solved cold and from its caller's start: the transport and penalized
+    # LPs start complete and feasible, and phase 1 of the martingale and
+    # projection LPs repairs only the martingale rows
     rng = np.random.default_rng(6)
     cost, sw, tw = rng.random((6, 6)), rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
-    transport = LinearProgram(objective=cost.ravel(), a_eq=grid_rows(6, 6), b_eq=np.r_[sw, tw])
-    assert solve_lp(transport).pivots == (17, 11)
     mu, nu = random_convex_pair(5, m=5, k=10)
-    martingale, _ = _built_lp(monkeypatch, mot, lambda: mot_solve(mu, nu, CostSpec.absolute()))
-    assert solve_lp(martingale).pivots == (31, 9)
     pi = random_coupling(6, mu, nu, blend=3)
-    projection, start = _built_lp(monkeypatch, nested, lambda: project_to_martingale(pi))
-    cold, warm = solve_lp(projection), solve_lp(projection, start=start)
-    assert cold.pivots == (119, 7)
-    assert warm.pivots == (17, 22)
-    assert sum(warm.pivots) < sum(cold.pivots)
+    calls = {
+        "transport": (transport, lambda: solve_transport(cost, sw, tw), (17, 11), (0, 9)),
+        "mot_solve": (mot, lambda: mot_solve(mu, nu, CostSpec.absolute()), (31, 9), (6, 7)),
+        "strassen": (mot, lambda: strassen_feasible(mu, nu), (31, 0), (6, 0)),
+        "penalized": (mot, lambda: penalized_ot(mu, nu, CostSpec.absolute(), 1.0),
+                      (34, 17), (0, 8)),
+        "projection": (nested, lambda: project_to_martingale(pi), (119, 7), (17, 22)),
+    }
+    for name, (module, call, cold, warm) in calls.items():
+        lp, start = _built_lp(monkeypatch, module, call)
+        assert (solve_lp(lp).pivots, solve_lp(lp, start=start).pivots) == (cold, warm), name
 
 
-def _north_west_start(sw, tw):
-    rows, cols, _ = north_west_corner(sw, tw)
-    start = np.full(len(sw) + len(tw), -1)
-    start[: rows.size] = rows * len(tw) + cols
-    return start
+def test_lps_without_a_start_are_unchanged(monkeypatch):
+    # the competitor LPs take no start: their pivot paths, and so their
+    # optima, are the ones they had before any caller took a start
+    mu, nu = random_convex_pair(5, m=5, k=10)
+    alpha = random_coupling(4, mu, nu)
+    spec = KappaSpec.from_coupling(random_coupling(5, mu, nu), lambda x1, x2, y2: abs(x2 - y2))
+    gammas = {x1: optimal_coupling_1d(spec.kernel(x1), kern)
+              for x1, _, kern in alpha.kernel_items()}
+    calls = [(lambda: competitor_improve(alpha, CostSpec.absolute()),
+              (26, 17), "0x1.495bffbd504b2p+1"),
+             (lambda: kappa_competitor_improve(alpha, gammas, spec),
+              (163, 51), "0x1.afb8cbeff427ep+0")]
+    for call, pivots, objective in calls:
+        lp, start = _built_lp(monkeypatch, mot, call)
+        sol = solve_lp(lp)
+        assert start is None
+        assert (sol.pivots, sol.objective.hex()) == (pivots, objective)
+
+
+def _highs_value(lp):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ub = {"A_ub": lp.a_ub, "b_ub": lp.b_ub} if lp.a_ub.shape[0] else {}
+    res = linprog(lp.objective, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None),
+                  method="highs", **ub)
+    assert res.status == 0
+    return res.fun
+
+
+# seeded m x 2m pairs, plus a 40 x 40 transport on random weights
+WARM_CASES = [(1, 4), (2, 7), (3, 10), (4, 13), (5, 15), (6, 20)]
+
+
+@pytest.mark.parametrize("seed, m", WARM_CASES + [(40, 40)])
+def test_transport_start_needs_no_phase_1(monkeypatch, seed, m):
+    if m == 40:
+        rng = np.random.default_rng(seed)
+        sw, tw, cost = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m)), rng.random((m, m))
+    else:
+        mu, nu = random_convex_pair(seed, m=m, k=2 * m)
+        sw, tw = mu.weights, nu.weights
+        # a concave cost, so the north-west corner is not already optimal
+        cost = np.sqrt(np.abs(mu.atoms[:, None] - nu.atoms[None, :]))
+    value, _ = solve_transport(cost, sw, tw)
+    lp, start = _built_lp(monkeypatch, transport, lambda: solve_transport(cost, sw, tw))
+    sol = solve_lp(lp, start=start)
+    assert sol.pivots[0] == 0 and sol.objective == value
+    assert value == pytest.approx(_highs_value(lp), rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed, m", WARM_CASES)
+def test_penalized_start_needs_no_phase_1(monkeypatch, seed, m):
+    mu, nu = random_convex_pair(seed, m=m, k=2 * m)
+    value = penalized_ot(mu, nu, CostSpec.absolute(), 1.0)
+    lp, start = _built_lp(monkeypatch, mot,
+                          lambda: penalized_ot(mu, nu, CostSpec.absolute(), 1.0))
+    sol = solve_lp(lp, start=start)
+    assert sol.pivots[0] == 0 and sol.objective == value
+    assert value == pytest.approx(_highs_value(lp), rel=1e-9)
 
 
 def _assert_same_optimum(lp, start):
@@ -182,7 +248,7 @@ def test_start_basis_keeps_the_transport_optimum(scale, shift):
         cost = np.sqrt(np.abs(x[:, None] - y[None, :]))
         lp = LinearProgram(objective=cost.ravel(), a_eq=grid_rows(len(mu), len(nu)),
                            b_eq=np.r_[mu.weights, nu.weights])
-        _assert_same_optimum(lp, _north_west_start(mu.weights, nu.weights))
+        _assert_same_optimum(lp, north_west_start(mu.weights, nu.weights)[0])
 
 
 @pytest.mark.parametrize("scale, shift", SCALES)
@@ -208,7 +274,7 @@ def test_singular_or_infeasible_start_falls_back_to_the_default_basis():
         warm = solve_lp(lp, start=start)
         assert warm.status == "optimal"
         assert warm.x.tolist() == cold.x.tolist() and warm.pivots == cold.pivots
-    assert solve_lp(lp, start=_north_west_start(sw, tw)).objective == pytest.approx(
+    assert solve_lp(lp, start=north_west_start(sw, tw)[0]).objective == pytest.approx(
         cold.objective, rel=1e-12)
 
 

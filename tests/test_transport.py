@@ -172,8 +172,8 @@ def test_solve_transport_rejects_point_that_breaks_its_rows(monkeypatch):
 
     original = transport.solve_lp
 
-    def off_rows(lp):
-        sol = original(lp)
+    def off_rows(lp, start=None):
+        sol = original(lp, start=start)
         return LpSolution(sol.status, sol.x, sol.objective, max_violation=2e-3)
 
     monkeypatch.setattr(transport, "solve_lp", off_rows)
