@@ -27,7 +27,6 @@ from .jsonio import (
     load_measure,
 )
 from .lab import continuity_sweep, example1_family1, example1_family2, projection_stability
-from .lp import enable_debug_dump
 from .measures import barycentre_report, convex_order, is_martingale
 from .mot import CostSpec, KappaSpec, kappa_objective, monotonicity_check, mot_solve, penalized_ot
 from .nested import nd_lower_bound, nested_w_p, project_to_martingale
@@ -269,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motline",
         description="Martingale optimal transport on the real line")
-    parser.add_argument("--debug-lp", metavar="PATH",
-                        help="append terminal simplex tableaus to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="convex-order report for two measure files")
@@ -374,8 +371,6 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, matching the parse exit code
         return int(exc.code or 0)
-    if args.debug_lp:
-        previous_dump = enable_debug_dump(args.debug_lp)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -393,9 +388,6 @@ def main(argv: Optional[list] = None) -> int:
     except MotlineError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    finally:
-        if args.debug_lp:
-            enable_debug_dump(previous_dump)
 
 
 if __name__ == "__main__":

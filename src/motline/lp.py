@@ -21,28 +21,6 @@ FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
 _DEGENERATE_SWITCH = 40  # consecutive degenerate pivots before Bland's rule kicks in
 
-_debug_dump_path = None
-
-
-def enable_debug_dump(path):
-    """Append every solve's terminal tableau to ``path`` (None disables).
-
-    Returns the previous path, so a caller can restore it when done.
-    """
-    global _debug_dump_path
-    previous, _debug_dump_path = _debug_dump_path, path
-    return previous
-
-
-def _dump_tableau(tableau: np.ndarray, basis: np.ndarray, label: str) -> None:
-    if _debug_dump_path is None:
-        return
-    with open(_debug_dump_path, "a", encoding="utf-8") as handle:
-        handle.write(f"# {label}: basis {basis.tolist()}\n")
-        np.savetxt(handle, tableau, fmt="%.12g")
-        handle.write("\n")
-
-
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """min c.x  s.t.  a_eq x = b_eq,  a_ub x <= b_ub,  lower <= x <= upper.
@@ -375,7 +353,9 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
                 else:
                     keep_rows[i] = False
         rows = np.concatenate([np.flatnonzero(keep_rows), [m]])
-        tableau = tableau[rows][:, np.r_[0 : n + n_slack, total]]
+        # C order: the fancy-indexed slice comes out Fortran-ordered, and
+        # every phase-2 pivot would stride across it
+        tableau = np.ascontiguousarray(tableau[rows][:, np.r_[0 : n + n_slack, total]])
         basis = basis[keep_rows]
         a = a[keep_rows]
         b = b[keep_rows]
@@ -395,7 +375,6 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
         _set_objective_row(tableau, basis, costs)
         status, run = _run_simplex(tableau, basis, allowed)
         pivots2 += run
-        _dump_tableau(tableau, basis, f"phase 2 ({status})")
         if status == "unbounded":
             return LpSolution("unbounded", None, None, pivots=(pivots1, pivots2))
         basis_cols = a[:, basis]

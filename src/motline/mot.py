@@ -178,7 +178,7 @@ def penalized_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, L: fl
         raise ConvexOrderError("no dispersion-feasible coupling: marginals not in convex order")
     if sol.status != "optimal":
         raise InternalError(f"penalized LP reported {sol.status}")
-    if sol.max_violation > FEAS_TOL:
+    if sol.max_violation > FEAS_TOL * _row_scale(mu, nu):
         raise InternalError(f"penalized LP point breaks its rows by {sol.max_violation:.3g}")
     return sol.objective
 
@@ -288,21 +288,54 @@ def _competitor_system(grid: np.ndarray, sb: DiscreteMeasure):
     return rows, np.concatenate([grid.sum(axis=1), grid.sum(axis=0), moments])
 
 
+def _single_competitor(rows, cols) -> bool:
+    """True when the support of a sub-coupling alpha certifies that its
+    competitor polytope is {alpha}, whatever the cost.
+
+    ``rows[p]`` and ``cols[p]`` place support point p on alpha's grid: rows
+    are the sorted x1 atoms, columns the sorted x2 atoms.  A row with two or
+    more atoms is *wide*, and its *hull* is the run of columns from its first
+    atom to its last.  When no hull column holds an atom of another row, the
+    polytope of measures q >= 0 with alpha's row masses, column masses and
+    row barycentres is the single point alpha (a decomposition into
+    irreducible components as in Beiglboeck & Juillet 2016):
+
+    1. take f convex, affine exactly on each hull and strictly convex
+       elsewhere;
+    2. the column masses fix sum_ij q_ij f(y_j), and every row of alpha meets
+       Jensen's inequality for f with equality, so every row of q must too;
+    3. so a one-atom row stays a Dirac at its barycentre, and a wide row
+       stays inside its own hull;
+    4. inside a hull only that row's mass is left.
+
+    With one atom per row there are no hulls and the test always holds.
+    Plain Python: samples have a handful of points, where numpy's per-call
+    cost would dominate.
+    """
+    hulls = {}
+    for r, c in zip(rows, cols):
+        lo, hi = hulls.get(r, (c, c))
+        hulls[r] = (min(lo, c), max(hi, c))
+    return not any(lo <= c <= hi
+                   for r, c in zip(rows, cols)
+                   for wide, (lo, hi) in hulls.items() if wide != r and lo < hi)
+
+
 def competitor_improve(alpha: DiscreteCoupling, cost: CostSpec,
                        tol: float = IMPROVE_TOL) -> Optional[DiscreteCoupling]:
     """Search for a cheaper measure with the same marginals and the same
     conditional barycentres; returns it when the cost drops by more than tol.
 
-    A coupling with one point per x1 has none, whatever the cost: its kernels
-    are Diracs at their barycentres b_i.  A competitor q keeps the second
-    marginal nu and the row masses w_i, so sum_ij q_ij y_j^2 = sum_j nu_j y_j^2
-    = sum_i w_i b_i^2, while Jensen gives sum_j q_ij y_j^2 >= w_i b_i^2 in each
-    row, with equality only for a Dirac at b_i.  Hence q = alpha, and no LP is
-    solved.
+    When no wide row's hull (the columns from its first atom to its last)
+    holds an atom of another row, alpha is the only such measure, whatever
+    the cost, and no LP is solved (see ``_single_competitor``).  That covers
+    every coupling with one point per x1: its kernels are Diracs at their
+    barycentres.
     """
-    if np.all(np.diff(alpha.x1) != 0):
-        return None
     sa, sb, grid = _barycentre_rows(alpha)
+    rows, cols = np.nonzero(grid)
+    if _single_competitor(rows.tolist(), cols.tolist()):
+        return None
     m, k = len(sa), len(sb)
     cost_matrix = cost.matrix_for(sa, sb)
     current = float(np.sum(grid * cost_matrix))
@@ -316,6 +349,19 @@ def competitor_improve(alpha: DiscreteCoupling, cost: CostSpec,
     if sol.objective < current - tol:
         return grid_coupling(sa, sb, sol.x.reshape(m, k), _DROP)
     return None
+
+
+def _merged_ranks(values: list) -> list:
+    """Rank of each value among the atoms that make_coupling merges them
+    into: runs of sorted values that differ by at most ATOM_MERGE_TOL, the
+    chain rule of measures._merge_sorted."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    rank = 0
+    for prev, p in zip(order, order[1:]):
+        rank += values[p] - values[prev] > ATOM_MERGE_TOL
+        ranks[p] = rank
+    return ranks
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,30 +381,35 @@ def monotonicity_check(pi: DiscreteCoupling, cost: CostSpec, samples: int,
                        tol: float = IMPROVE_TOL) -> MonotonicityReport:
     """Sample sub-supports of a martingale coupling and hunt for improving
     competitors.  Zero violations are expected for optimizers of the cost;
-    violations witness suboptimality."""
+    violations witness suboptimality.
+
+    A sample in which no wide row's hull holds an atom of another row admits
+    no competitor, whatever the cost (see ``_single_competitor``).  Its grid
+    rows and columns are read off the sampled coordinates, so it is
+    certified before its sub-coupling or its LP is built.
+    """
     rng = random.Random(rng_seed)
     n = len(pi)
     size = min(subset_size, n)
+    x1, x2 = pi.x1.tolist(), pi.x2.tolist()
     cache = {}
     violations = []
     for s in range(samples):
         idx = tuple(sorted(rng.sample(range(n), size)))
-        if idx not in cache and np.all(np.diff(pi.x1[list(idx)]) > ATOM_MERGE_TOL):
-            # make_coupling cannot merge these rows, so the sub-coupling has
-            # Dirac kernels and no competitor (see competitor_improve)
-            cache[idx] = None
         if idx not in cache:
-            sub = [(pi.x1[i], pi.x2[i], pi.w[i]) for i in idx]
-            alpha = make_coupling(sub)
-            better = competitor_improve(alpha, cost, tol)
-            if better is None:
-                cache[idx] = None
-            else:
-                old = float(np.sum(cost.matrix_for(alpha.first_marginal, alpha.second_marginal)
-                                   * _barycentre_rows(alpha)[2]))
-                new = float(np.sum(cost.matrix_for(better.first_marginal, better.second_marginal)
-                                   * _barycentre_rows(better)[2]))
-                cache[idx] = (idx, old, new)
+            cache[idx] = None
+            if not _single_competitor(_merged_ranks([x1[i] for i in idx]),
+                                      _merged_ranks([x2[i] for i in idx])):
+                alpha = make_coupling([(x1[i], x2[i], pi.w[i]) for i in idx])
+                better = competitor_improve(alpha, cost, tol)
+                if better is not None:
+                    old = float(np.sum(cost.matrix_for(alpha.first_marginal,
+                                                       alpha.second_marginal)
+                                       * _barycentre_rows(alpha)[2]))
+                    new = float(np.sum(cost.matrix_for(better.first_marginal,
+                                                       better.second_marginal)
+                                       * _barycentre_rows(better)[2]))
+                    cache[idx] = (idx, old, new)
         if cache[idx] is not None:
             violations.append((s,) + cache[idx])
     return MonotonicityReport(samples, subset_size, rng_seed, tuple(violations))

@@ -8,7 +8,6 @@ from motline import (
     mot_solve,
     nested_w_p,
     point_mass,
-    project_to_martingale,
     rearrange,
 )
 from motline.cli import main, parse_cost
@@ -204,11 +203,7 @@ def test_loaders_reject_nan(tmp_path):
         load_measure(str(path))
 
 
-def test_debug_lp_dump_ends_with_the_call(files, tmp_path):
+def test_debug_lp_flag_is_gone(files, tmp_path):
     dump = tmp_path / "tableaus.txt"
-    assert main(["--debug-lp", str(dump), "project", files["pi"]]) == 0
-    written = dump.read_text()
-    assert written
-    assert main(["project", files["pi"]]) == 0
-    project_to_martingale(load_coupling(files["pi"]))
-    assert dump.read_text() == written
+    assert main(["--debug-lp", str(dump), "project", files["pi"]]) == 2
+    assert not dump.exists()

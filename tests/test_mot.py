@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from motline import (
     random_coupling,
     strassen_feasible,
 )
-from motline.measures import ATOM_MERGE_TOL
+from motline.measures import ATOM_MERGE_TOL, DiscreteCoupling
+from motline.mot import _barycentre_rows, _merged_ranks, _single_competitor
 
 from conftest import coupling_cost
 
@@ -225,6 +227,8 @@ def test_competitor_single_point():
 
 def test_competitor_finds_cheaper_arrangement():
     alpha = make_coupling(SUBOPTIMAL)
+    # each row's hull holds an atom of the other row: no certificate
+    assert not _single_competitor(*_sample_support(alpha, [0, 1, 2, 3]))
     better = competitor_improve(alpha, CostSpec.absolute())
     assert better is not None
     # same marginals, same conditional barycentres, strictly cheaper
@@ -405,6 +409,9 @@ def _dirac_subsets(pi, size, seed, count):
 
 
 DIRAC = make_coupling([(0.0, 1.0, 0.3), (1.0, -2.0, 0.2), (2.0, 5.0, 0.5)])
+# one wide row (x1 = 0) whose hull [-1, 2] holds no atom of another row
+WIDE = make_coupling([(0.0, -1.0, 0.2), (0.0, 0.5, 0.1), (0.0, 2.0, 0.1),
+                      (1.0, -2.0, 0.3), (2.0, 3.0, 0.3)])
 SHORTCUT_COSTS = [CostSpec.absolute(), CostSpec.squared(), CostSpec.call(0.5),
                   CostSpec.polynomial([(1, 2, 1.0), (3, 1, -0.5)]),
                   CostSpec.from_matrix(np.arange(9.0).reshape(3, 3) % 4)]
@@ -419,6 +426,7 @@ def test_competitor_skips_lp_on_dirac_kernels(monkeypatch):
     monkeypatch.setattr(mot, "solve_lp", no_lp)
     for cost in SHORTCUT_COSTS:
         assert competitor_improve(DIRAC, cost) is None
+        assert competitor_improve(WIDE, cost) is None
     with pytest.raises(AssertionError, match="Dirac"):
         competitor_improve(make_coupling(SUBOPTIMAL), CostSpec.absolute())
 
@@ -450,6 +458,150 @@ def test_dirac_kernels_admit_no_competitor_highs(seed):
                               method="highs")
                 assert res.status == 0
                 assert abs(res.fun - current) <= 1e-12 * max(1.0, abs(current))
+
+
+def _cell_range_highs(linprog, a_eq, b_eq):
+    """Min and max of every variable over {q >= 0 : a_eq q = b_eq}."""
+    low, high = [], []
+    for c in range(a_eq.shape[1]):
+        unit = np.zeros(a_eq.shape[1])
+        unit[c] = 1.0
+        for sign, out in ((1.0, low), (-1.0, high)):
+            res = linprog(sign * unit, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+            assert res.status == 0
+            out.append(sign * res.fun)
+    return np.array(low), np.array(high)
+
+
+def _sample_support(pi, idx):
+    """Grid rows and columns of the points idx of pi, as monotonicity_check
+    reads them off the coordinates."""
+    return (_merged_ranks([float(pi.x1[i]) for i in idx]),
+            _merged_ranks([float(pi.x2[i]) for i in idx]))
+
+
+def _grid_support(alpha):
+    rows, cols = np.nonzero(_barycentre_rows(alpha)[2])
+    return rows.tolist(), cols.tolist()
+
+
+def _certified_subsets(pi, size, seed, count):
+    """Seeded sub-couplings of pi, drawn the way monotonicity_check draws its
+    samples, that the certificate passes although some row is wide."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(200 * count):
+        idx = sorted(rng.sample(range(len(pi)), size))
+        if np.all(np.diff(pi.x1[idx]) > ATOM_MERGE_TOL):
+            continue
+        if _single_competitor(*_sample_support(pi, idx)):
+            out.append(make_coupling([(pi.x1[i], pi.x2[i], pi.w[i]) for i in idx]))
+            if len(out) == count:
+                break
+    assert len(out) == count
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_competitor_polytope_is_one_point_highs(seed):
+    # the theorem behind the certificate, checked with an independent solver:
+    # over the competitor polytope, every grid cell has min = max = alpha
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    mu, nu = random_convex_pair(seed, m=5 + seed % 3, k=10 + seed % 4, radius=3.0)
+    alphas = []
+    for pi in (random_coupling(seed + 10, mu, nu, blend=3),
+               mot_solve(mu, nu, CostSpec.absolute())[1]):
+        alphas += _certified_subsets(pi, size=4, seed=seed, count=3)
+    # random support patterns on small grids, kept where the certificate fires
+    rng = np.random.default_rng(seed)
+    for _ in range(2000):
+        if len(alphas) == 12:
+            break
+        m, k = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        pattern = rng.random((m, k)) < 0.4
+        pattern[np.arange(m), rng.integers(0, k, m)] = True
+        pattern[rng.integers(0, m, k), np.arange(k)] = True
+        if (_single_competitor(*(ix.tolist() for ix in np.nonzero(pattern)))
+                and np.any(pattern.sum(axis=1) > 1)):
+            y = np.sort(rng.normal(size=k)) * 3.0
+            alphas.append(make_coupling([(float(i), y[j], rng.uniform(0.1, 1.0))
+                                         for i, j in zip(*np.nonzero(pattern))]))
+    assert len(alphas) == 12
+    for alpha in alphas:
+        _, _, grid, a_eq, b_eq = _competitor_system(alpha)
+        assert _single_competitor(*_grid_support(alpha))
+        low, high = _cell_range_highs(linprog, a_eq, b_eq)
+        assert np.max(np.abs(low - grid.ravel())) <= 1e-9
+        assert np.max(np.abs(high - grid.ravel())) <= 1e-9
+
+
+def test_sample_support_matches_make_coupling():
+    # coordinates closer than ATOM_MERGE_TOL merge in chains: 0, 0.6e-12 and
+    # 1.2e-12 are one atom, while 0 and 1.2e-12 alone are two
+    step = 0.6 * ATOM_MERGE_TOL
+    x1 = np.array([0.0, 0.0, step, step, 2 * step, 1.0, 1.0 + step, 3.0])
+    x2 = np.array([-1.0, 2.0, -1.0 + step, 5.0, 2.0 + 2 * step, 1.0, 1.0 + 3 * step, 3.0 - step])
+    rng = np.random.default_rng(5)
+    close = DiscreteCoupling(x1, x2, np.full(8, 0.125))
+    mu, nu = random_convex_pair(6, m=4, k=8)
+    for pi in (close, random_coupling(7, mu, nu), make_coupling(SUBOPTIMAL)):
+        n = len(pi)
+        for size in range(1, min(n, 5) + 1):
+            for _ in range(30):
+                idx = sorted(rng.choice(n, size, replace=False).tolist())
+                sample = make_coupling([(pi.x1[i], pi.x2[i], pi.w[i]) for i in idx])
+                rows, cols = _grid_support(sample)
+                assert set(zip(*_sample_support(pi, idx))) == set(zip(rows, cols)), idx
+
+
+def _golden_martingales():
+    from motline.jsonio import load_coupling
+
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    return [load_coupling(str(inputs / f"mart{s}.json")) for s in (1, 2, 3)]
+
+
+def test_monotonicity_check_same_without_certificate(monkeypatch):
+    import motline.mot as mot
+
+    poly = CostSpec.polynomial([(1, 1, -1.0), (0, 2, 0.5)])
+    cases = [(pi, CostSpec.absolute(), s) for s, pi in enumerate(_golden_martingales())]
+    for seed in range(3):
+        mu, nu = random_convex_pair(seed, m=5 + seed, k=10 + seed)
+        matrix = CostSpec.from_matrix(np.random.default_rng(seed).normal(size=(len(mu), len(nu))))
+        for source in (CostSpec.absolute(), CostSpec.squared(), CostSpec.call(0.3), poly, matrix):
+            optimizer = mot_solve(mu, nu, source)[1]
+            checks = [source] if source.kind != "matrix" else []
+            cases += [(optimizer, cost, seed) for cost in checks + [CostSpec.absolute(), poly]]
+        cases.append((make_coupling(SUBOPTIMAL), CostSpec.absolute(), seed))
+    reports = [monotonicity_check(pi, cost, 40, 4, seed) for pi, cost, seed in cases]
+    monkeypatch.setattr(mot, "_single_competitor", lambda rows, cols: False)
+    for (pi, cost, seed), report in zip(cases, reports):
+        assert monotonicity_check(pi, cost, 40, 4, seed).violations == report.violations
+    assert sum(report.n_violations for report in reports) > 0
+
+
+def test_competitor_lp_count_pinned(monkeypatch):
+    # random_convex_pair(7, 12, 24, radius=10), as on the mot-batch benchmark:
+    # 19 competitor LPs when only one point per x1 was certified, 7 now
+    import motline.mot as mot
+
+    mu, nu = random_convex_pair(7, 12, 24, radius=10.0)
+    cost = CostSpec.absolute()
+    optimizer = mot_solve(mu, nu, cost)[1]
+    original, calls = mot.solve_lp, []
+
+    def counted(lp, start=None):
+        calls.append(lp)
+        return original(lp, start=start)
+
+    monkeypatch.setattr(mot, "solve_lp", counted)
+    assert monotonicity_check(optimizer, cost, 40, 4, 7).n_violations == 0
+    assert len(calls) == 7
+    calls.clear()
+    monkeypatch.setattr(mot, "_single_competitor", lambda rows, cols: len(set(rows)) == len(rows))
+    assert monotonicity_check(optimizer, cost, 40, 4, 7).n_violations == 0
+    assert len(calls) == 19
 
 
 # monotonicity_check violations under the abs cost, recorded before the Dirac
@@ -632,3 +784,17 @@ def test_penalized_ot_fails_loudly_off_its_rows():
         assert "breaks its rows" in str(err)
     else:
         assert relaxed == pytest.approx(value, rel=1e-9)
+
+
+# random_convex_pair(seed, m, 2m, radius=1e4) with m = 4 + seed % 8, on which
+# penalized_ot raised under an absolute FEAS_TOL: its accurate points broke
+# the atom-sized deviation rows by rounding alone (1.1e-9 to 1.6e-7)
+PENALIZED_WIDE_SEEDS = [2, 10, 37, 62, 84]
+
+
+@pytest.mark.parametrize("seed", PENALIZED_WIDE_SEEDS)
+def test_penalized_row_check_scales_with_the_atoms(seed):
+    m = 4 + seed % 8
+    mu, nu = random_convex_pair(seed, m, 2 * m, radius=1e4)
+    value, _ = mot_solve(mu, nu, CostSpec.absolute())
+    assert penalized_ot(mu, nu, CostSpec.absolute(), 1.0) == pytest.approx(value, rel=1e-9)
