@@ -274,9 +274,6 @@ class BarycentreReport:
             raise InputError(f"{x1!r} is not an atom of the first marginal")
         return float(self.deviations[idx])
 
-    def as_dict(self) -> dict:
-        return {float(a): float(d) for a, d in zip(self.atoms, self.deviations)}
-
 
 def barycentre_report(pi: DiscreteCoupling, tol_mart: float = DEFAULT_TOL_MART) -> BarycentreReport:
     """Compute conditional-mean deviations, their weighted total, and classes."""

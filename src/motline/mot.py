@@ -18,8 +18,8 @@ from .measures import (
     DiscreteMeasure,
     make_coupling,
 )
-from .transport import (TransportPlan, grid_coupling, grid_rows, north_west_start,
-                        solve_transport)
+from .transport import (TransportPlan, coupling_grid, grid_coupling, grid_rows,
+                        north_west_start, solve_transport)
 
 _DROP = 1e-12
 IMPROVE_TOL = 1e-7
@@ -269,15 +269,6 @@ def kappa_solve_bruteforce(kappa: KappaSpec, mu: DiscreteMeasure, nu: DiscreteMe
     return float(best_value), best_coupling
 
 
-def _barycentre_rows(alpha: DiscreteCoupling):
-    """Row masses and row barycentre integrals of a coupling on its grid."""
-    sa = alpha.first_marginal
-    sb = alpha.second_marginal
-    grid = np.zeros((len(sa), len(sb)))
-    grid[np.searchsorted(sa.atoms, alpha.x1), np.searchsorted(sb.atoms, alpha.x2)] = alpha.w
-    return sa, sb, grid
-
-
 def _competitor_system(grid: np.ndarray, sb: DiscreteMeasure):
     """Rows pinning the row masses, the column masses and the row barycentre
     integrals of a grid over the atoms of ``sb``, with their right-hand sides."""
@@ -332,7 +323,7 @@ def competitor_improve(alpha: DiscreteCoupling, cost: CostSpec,
     every coupling with one point per x1: its kernels are Diracs at their
     barycentres.
     """
-    sa, sb, grid = _barycentre_rows(alpha)
+    sa, sb, grid = coupling_grid(alpha)
     rows, cols = np.nonzero(grid)
     if _single_competitor(rows.tolist(), cols.tolist()):
         return None
@@ -364,6 +355,22 @@ def _merged_ranks(values: list) -> list:
     return ranks
 
 
+def _sample_cost(cost: CostSpec, pi: DiscreteCoupling, sub: DiscreteCoupling) -> CostSpec:
+    """``cost`` for a sub-coupling of pi: an explicit matrix over pi's grid is
+    sliced to the sub-coupling's rows and columns; other costs are unchanged."""
+    if cost.kind != "matrix":
+        return cost
+    mu, nu = pi.first_marginal, pi.second_marginal
+    rows = np.searchsorted(mu.atoms, sub.first_marginal.atoms)
+    cols = np.searchsorted(nu.atoms, sub.second_marginal.atoms)
+    return CostSpec.from_matrix(cost.matrix_for(mu, nu)[np.ix_(rows, cols)], cost.lipschitz)
+
+
+def _sample_value(cost: CostSpec, pi: DiscreteCoupling, sub: DiscreteCoupling) -> float:
+    sa, sb, grid = coupling_grid(sub)
+    return float(np.sum(_sample_cost(cost, pi, sub).matrix_for(sa, sb) * grid))
+
+
 @dataclass(frozen=True, eq=False)
 class MonotonicityReport:
     samples: int
@@ -386,7 +393,8 @@ def monotonicity_check(pi: DiscreteCoupling, cost: CostSpec, samples: int,
     A sample in which no wide row's hull holds an atom of another row admits
     no competitor, whatever the cost (see ``_single_competitor``).  Its grid
     rows and columns are read off the sampled coordinates, so it is
-    certified before its sub-coupling or its LP is built.
+    certified before its sub-coupling or its LP is built.  A ``from_matrix``
+    cost is read over pi's grid and sliced to each sample's rows and columns.
     """
     rng = random.Random(rng_seed)
     n = len(pi)
@@ -401,15 +409,10 @@ def monotonicity_check(pi: DiscreteCoupling, cost: CostSpec, samples: int,
             if not _single_competitor(_merged_ranks([x1[i] for i in idx]),
                                       _merged_ranks([x2[i] for i in idx])):
                 alpha = make_coupling([(x1[i], x2[i], pi.w[i]) for i in idx])
-                better = competitor_improve(alpha, cost, tol)
+                better = competitor_improve(alpha, _sample_cost(cost, pi, alpha), tol)
                 if better is not None:
-                    old = float(np.sum(cost.matrix_for(alpha.first_marginal,
-                                                       alpha.second_marginal)
-                                       * _barycentre_rows(alpha)[2]))
-                    new = float(np.sum(cost.matrix_for(better.first_marginal,
-                                                       better.second_marginal)
-                                       * _barycentre_rows(better)[2]))
-                    cache[idx] = (idx, old, new)
+                    cache[idx] = (idx, _sample_value(cost, pi, alpha),
+                                  _sample_value(cost, pi, better))
         if cache[idx] is not None:
             violations.append((s,) + cache[idx])
     return MonotonicityReport(samples, subset_size, rng_seed, tuple(violations))
@@ -424,7 +427,7 @@ def kappa_competitor_improve(alpha: DiscreteCoupling, gammas: dict, kappa: Kappa
     fresh inner plans in one LP; returns (competitor, new inner plans) when the
     objective drops by more than tol, else None.
     """
-    sa, sb, grid = _barycentre_rows(alpha)
+    sa, sb, grid = coupling_grid(alpha)
     m, k = len(sa), len(sb)
     items = alpha.kernel_items()
     current = 0.0

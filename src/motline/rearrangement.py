@@ -19,6 +19,7 @@ barycentre deviation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,18 +27,16 @@ import numpy as np
 
 from .errors import ConvexOrderError, InputError, InternalError
 from .measures import (
-    ATOM_MERGE_TOL,
     DEFAULT_TOL_MART,
     MASS_DROP_TOL,
     BarycentreReport,
     DiscreteCoupling,
     barycentre_report,
     convex_order,
-    is_martingale,
     make_coupling,
 )
 from .nested import BicausalPlan, project_to_martingale
-from .transport import TransportPlan
+from .transport import TransportPlan, coupling_grid
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class ExchangeTuples:
     ``chain`` lists the interior atoms; ``chain_lo``/``chain_hi`` their kernel
     support extremes.  The interleaving
     lo_1 < x2_plus <= lo_2 < hi_1 <= ... <= x2_minus < hi_m
-    holds with equality resolved at 1e-12.
+    holds exactly: every value is an atom of the second marginal.
     """
 
     x1_plus: float
@@ -74,7 +73,6 @@ class ExchangeTuples:
     chain: tuple
     chain_lo: tuple
     chain_hi: tuple
-    had_ties: bool = False
 
     @property
     def m(self) -> int:
@@ -146,85 +144,76 @@ class RearrangementResult:
         return self.cost_bound / self.epsilon_initial
 
 
-# ---------------------------------------------------------------------------
-# mutable working state: {x1: {x2: mass}} with the fixed first-marginal weights
+def _index(atoms: list, values) -> list:
+    """Positions of ``values`` in the sorted list ``atoms``; each must be an atom."""
+    idx = [bisect_left(atoms, v) for v in values]
+    if any(j == len(atoms) or atoms[j] != v for j, v in zip(idx, values)):
+        raise InputError(f"{values!r} are not all atoms of the coupling's marginals")
+    return idx
 
 
-def _state_from(pi: DiscreteCoupling):
-    mass = {}
-    for x1, x2, w in zip(pi.x1, pi.x2, pi.w):
-        mass.setdefault(float(x1), {})[float(x2)] = float(w)
-    mu = pi.first_marginal
-    mu_w = {float(a): float(w) for a, w in zip(mu.atoms, mu.weights)}
-    return mass, mu_w
+class _Grid:
+    """A coupling's masses on the grid mu.atoms x nu.atoms, addressed by (row,
+    column).  A rearrangement keeps both marginals, so every step moves mass
+    between cells of this one grid."""
+
+    def __init__(self, pi: DiscreteCoupling):
+        self.mu, self.nu, self.mass = coupling_grid(pi)
+        self.x1, self.x2 = self.mu.atoms.tolist(), self.nu.atoms.tolist()
+        self.gaps = self.nu.atoms[None, :] - self.mu.atoms[:, None]
+
+    def devs(self) -> np.ndarray:
+        """Weighted barycentre deviation of every row."""
+        return (self.mass * self.gaps).sum(axis=1)
+
+    def epsilon(self) -> float:
+        return float(np.abs(self.devs()).sum())
+
+    def extents(self):
+        """Lists of the first and the last column of every row's support."""
+        held = self.mass > 0
+        hi = held.shape[1] - 1 - held[:, ::-1].argmax(axis=1)
+        return held.argmax(axis=1).tolist(), hi.tolist()
+
+    def move(self, row: int, src: int, dst: int, amount: float) -> None:
+        left = self.mass[row, src] - amount
+        self.mass[row, src] = left if left > MASS_DROP_TOL else 0.0
+        self.mass[row, dst] += amount
+
+    def coupling(self) -> DiscreteCoupling:
+        rows, cols = np.nonzero(self.mass)
+        return make_coupling(np.column_stack(
+            [self.mu.atoms[rows], self.nu.atoms[cols], self.mass[rows, cols]]))
 
 
-def _state_coupling(mass) -> DiscreteCoupling:
-    points = [(x1, x2, w) for x1, row in mass.items() for x2, w in row.items()]
-    return make_coupling(points)
+def _find_pair(lo: list, hi: list, minus: list, plus: list) -> Optional[tuple]:
+    """Deterministic switch-pair selection, as (row minus, row plus, column
+    minus, column plus).
 
-
-def _weighted_devs(mass) -> dict:
-    return {x1: sum((x2 - x1) * w for x2, w in row.items()) for x1, row in mass.items()}
-
-
-def _classify(devs, mu_w, tol_mart):
-    minus, zero, plus = [], [], []
-    for x1 in sorted(devs):
-        d = devs[x1] / mu_w[x1]
-        if d > tol_mart:
-            plus.append(x1)
-        elif d < -tol_mart:
-            minus.append(x1)
-        else:
-            zero.append(x1)
-    return minus, zero, plus
-
-
-def _move(mass, x1, src, dst, amount):
-    row = mass[x1]
-    left = row[src] - amount
-    if left <= MASS_DROP_TOL:
-        del row[src]
-    else:
-        row[src] = left
-    row[dst] = row.get(dst, 0.0) + amount
-
-
-def _apply_switch(mass, rec: SwitchRecord):
-    _move(mass, rec.x1_minus, rec.x2_minus, rec.x2_plus, rec.mass_moved)
-    _move(mass, rec.x1_plus, rec.x2_plus, rec.x2_minus, rec.mass_moved)
-
-
-def _switch_lambda(mass, mu_w, devs, x1m, x1p, x2m, x2p) -> float:
-    gap = x2p - x2m
-    return min(
-        -devs[x1m] / gap,
-        mass[x1m].get(x2m, 0.0),
-        devs[x1p] / gap,
-        mass[x1p].get(x2p, 0.0),
-    )
-
-
-def _find_pair(mass, minus, plus):
-    """Deterministic switch-pair selection.
-
-    Scans negative-deviation atoms from the largest down (the ordering that
-    keeps the dispersion property invariant under repeated switches), then
-    positive-deviation partners from the largest down, pairing the kernel
-    support extremes.
+    Scans negative-deviation rows from the largest atom down (the ordering
+    that keeps the dispersion property invariant under repeated switches),
+    then positive-deviation partners from the largest down, pairing the
+    kernel support extremes.
     """
-    for x1m in sorted(minus, reverse=True):
-        x2m = min(mass[x1m])
-        best = None
-        for x1p in sorted(plus, reverse=True):
-            x2p = max(mass[x1p])
-            if x2p - x2m > 0:
-                best = (x1m, x1p, x2m, x2p)
-                break
-        if best:
-            return best
+    for i in reversed(minus):
+        for p in reversed(plus):
+            if hi[p] > lo[i]:
+                return i, p, lo[i], hi[p]
     return None
+
+
+def _switch_cap(grid: _Grid, devs, i: int, p: int, jm: int, jp: int) -> float:
+    """Largest switch mass: the smallest of the masses that rectify either
+    row's barycentre and the masses sitting at the two donor cells."""
+    gap = grid.x2[jp] - grid.x2[jm]
+    return float(min(-devs[i] / gap, grid.mass[i, jm], devs[p] / gap, grid.mass[p, jp]))
+
+
+def _switch(grid: _Grid, i: int, p: int, jm: int, jp: int, lam: float) -> SwitchRecord:
+    """Row i swaps mass lam at column jm for column jp, row p the other way."""
+    grid.move(i, jm, jp, lam)
+    grid.move(p, jp, jm, lam)
+    return SwitchRecord(grid.x1[i], grid.x1[p], grid.x2[jm], grid.x2[jp], lam)
 
 
 def find_switch_pair(pi: DiscreteCoupling,
@@ -232,8 +221,13 @@ def find_switch_pair(pi: DiscreteCoupling,
     """Locate (x1_minus, x1_plus, x2_minus, x2_plus) for a direct switch, if any."""
     if report is None:
         report = barycentre_report(pi)
-    mass, _ = _state_from(pi)
-    return _find_pair(mass, list(report.minus), list(report.plus))
+    grid = _Grid(pi)
+    pair = _find_pair(*grid.extents(), _index(grid.x1, report.minus),
+                      _index(grid.x1, report.plus))
+    if pair is None:
+        return None
+    i, p, jm, jp = pair
+    return grid.x1[i], grid.x1[p], grid.x2[jm], grid.x2[jp]
 
 
 def switch_assignment(pi: DiscreteCoupling, x1m: float, x1p: float, x2m: float,
@@ -246,65 +240,49 @@ def switch_assignment(pi: DiscreteCoupling, x1m: float, x1p: float, x2m: float,
     """
     if not x2m < x2p:
         raise InputError("switch requires x2_minus < x2_plus")
-    mass, mu_w = _state_from(pi)
-    for x1, x2 in ((x1m, x2m), (x1p, x2p)):
-        if mass.get(x1, {}).get(x2, 0.0) <= 0:
-            raise InputError(f"({x1}, {x2}) carries no mass")
+    grid = _Grid(pi)
+    (i, p), (jm, jp) = _index(grid.x1, (x1m, x1p)), _index(grid.x2, (x2m, x2p))
+    for row, col in ((i, jm), (p, jp)):
+        if grid.mass[row, col] <= 0:
+            raise InputError(f"({grid.x1[row]}, {grid.x2[col]}) carries no mass")
     if lam is None:
-        devs = _weighted_devs(mass)
-        if not (devs[x1m] < 0 < devs[x1p]):
+        devs = grid.devs()
+        if not (devs[i] < 0 < devs[p]):
             raise InputError("switch endpoints must have deviations of opposite signs")
-        lam = _switch_lambda(mass, mu_w, devs, x1m, x1p, x2m, x2p)
+        lam = _switch_cap(grid, devs, i, p, jm, jp)
     lam = float(lam)
     if lam < 0:
         raise InputError("negative switch mass")
-    if lam > min(mass[x1m][x2m], mass[x1p][x2p]) + 1e-15:
+    if lam > min(grid.mass[i, jm], grid.mass[p, jp]) + 1e-15:
         raise InputError("switch mass exceeds the donor-point masses")
-    record = SwitchRecord(x1m, x1p, x2m, x2p, lam)
     if lam == 0.0:
-        return pi, record
-    _apply_switch(mass, record)
-    return _state_coupling(mass), record
+        return pi, SwitchRecord(x1m, x1p, x2m, x2p, lam)
+    record = _switch(grid, i, p, jm, jp, lam)
+    return grid.coupling(), record
 
 
-def _find_tuples(mass, mu_w, devs, minus, zero, plus) -> ExchangeTuples:
-    x2_plus = max(max(mass[x1]) for x1 in plus)
-    x2_minus = min(min(mass[x1]) for x1 in minus)
-    x1_plus = max(x1 for x1 in plus if max(mass[x1]) == x2_plus)
-    x1_minus = max(x1 for x1 in minus if min(mass[x1]) == x2_minus)
-
-    intervals = {}
-    for x1 in zero:
-        row = mass[x1]
-        lo, hi = min(row), max(row)
-        if hi - lo > ATOM_MERGE_TOL:
-            intervals[x1] = (lo, hi)
-
-    chain, lows, highs = [], [], []
-    reach = x2_plus
-    had_ties = False
-    used = set()
-    while not reach - x2_minus > ATOM_MERGE_TOL:
-        candidates = [
-            (x1, lo, hi) for x1, (lo, hi) in intervals.items()
-            if x1 not in used and reach - lo > ATOM_MERGE_TOL and hi - reach > ATOM_MERGE_TOL
-        ]
+def _find_tuples(grid: _Grid, lo: list, hi: list, minus: list, zero: list,
+                 plus: list) -> ExchangeTuples:
+    """Greedy furthest-reach chain of zero-class rows, from the highest
+    column of the positive side to the lowest column of the negative side;
+    on a tie of reach the smallest atom is taken."""
+    top = max(hi[p] for p in plus)
+    bottom = min(lo[i] for i in minus)
+    chain = []
+    reach = top
+    while reach <= bottom:
+        candidates = [z for z in zero if lo[z] < reach < hi[z]]
         if not candidates:
             raise InternalError(
                 "no exchange chain found; convex order violated or deviations "
                 "misclassified at the working tolerance")
-        best_hi = max(hi for _, _, hi in candidates)
-        ties = [c for c in candidates if best_hi - c[2] <= ATOM_MERGE_TOL]
-        if len(ties) > 1:
-            had_ties = True
-        x1, lo, hi = min(ties)  # furthest reach, smallest atom on ties
-        chain.append(x1)
-        lows.append(lo)
-        highs.append(hi)
-        used.add(x1)
-        reach = hi
-    return ExchangeTuples(x1_plus, x1_minus, x2_plus, x2_minus,
-                          tuple(chain), tuple(lows), tuple(highs), had_ties)
+        chain.append(max(candidates, key=hi.__getitem__))
+        reach = hi[chain[-1]]
+    x1, x2 = grid.x1, grid.x2
+    return ExchangeTuples(x1[max(p for p in plus if hi[p] == top)],
+                          x1[max(i for i in minus if lo[i] == bottom)], x2[top], x2[bottom],
+                          tuple(x1[z] for z in chain), tuple(x2[lo[z]] for z in chain),
+                          tuple(x2[hi[z]] for z in chain))
 
 
 def find_exchange_tuples(pi: DiscreteCoupling,
@@ -313,55 +291,42 @@ def find_exchange_tuples(pi: DiscreteCoupling,
 
     Applicable when no direct switch pair exists; the greedy chain over the
     zero-class kernel ranges is minimal in length and satisfies the strict/weak
-    interleaving pattern (a tie within 1e-12 of a comparison is flagged)."""
+    interleaving pattern."""
     if report is None:
         report = barycentre_report(pi)
     if not report.minus or not report.plus:
         raise InputError("exchange tuples need both deviation classes nonempty")
-    mass, mu_w = _state_from(pi)
-    devs = _weighted_devs(mass)
-    return _find_tuples(mass, mu_w, devs, list(report.minus), list(report.zero),
-                        list(report.plus))
+    grid = _Grid(pi)
+    rows = (_index(grid.x1, c) for c in (report.minus, report.zero, report.plus))
+    return _find_tuples(grid, *grid.extents(), *rows)
 
 
-def _cascade_records(mass, mu_w, devs, tuples: ExchangeTuples):
-    """Barycentre mass shifted per pass and the per-link switch records."""
-    seq = tuples.t1()
-    his = (tuples.x2_plus, *tuples.chain_hi)
-    los = (*tuples.chain_lo, tuples.x2_minus)
-    gaps = tuples.link_gaps()
-    caps = [devs[tuples.x1_plus], -devs[tuples.x1_minus]]
-    for i, d in enumerate(gaps):
-        donor_high = mass[seq[i]].get(his[i], 0.0)
-        donor_low = mass[seq[i + 1]].get(los[i], 0.0)
-        caps.append(d * min(donor_high, donor_low))
-    a = min(caps)
+def _cascade(grid: _Grid, devs, tuples: ExchangeTuples) -> CascadeStep:
+    """One cascade pass on the grid, given its weighted row deviations."""
+    rows = _index(grid.x1, tuples.t1())
+    his = _index(grid.x2, (tuples.x2_plus, *tuples.chain_hi))
+    los = _index(grid.x2, (*tuples.chain_lo, tuples.x2_minus))
+    links = list(zip(tuples.link_gaps(), rows, rows[1:], his, los))
+    caps = [devs[rows[0]], -devs[rows[-1]]]
+    caps += [d * min(grid.mass[r, h], grid.mass[s, l]) for d, r, s, h, l in links]
+    a = float(min(caps))
     if a <= 0:
-        binding = int(np.argmin(caps))
-        raise InternalError(f"degenerate cascade: cap {binding} is {a!r}")
-    links = tuple(
-        SwitchRecord(x1_minus=seq[i + 1], x1_plus=seq[i],
-                     x2_minus=los[i], x2_plus=his[i], mass_moved=a / gaps[i])
-        for i in range(len(gaps)))
-    return a, links
+        raise InternalError(f"degenerate cascade: cap {int(np.argmin(caps))} is {a!r}")
+    records = tuple(_switch(grid, s, r, l, h, a / d) for d, r, s, h, l in links)
+    return CascadeStep(tuples, a, records, grid.epsilon())
 
 
 def cascade(pi: DiscreteCoupling, tuples: ExchangeTuples):
-    """Run one cascade pass along the exchange tuples.
+    """Run one cascade pass along the exchange tuples; returns (new coupling, step).
 
     Every link moves mass a / d_i across its gap d_i, so each interior
     barycentre is preserved exactly while both endpoint deviations shrink by
     the common amount a; a is maximal subject to the donor masses and the two
     endpoint deviations.  Marginals are conserved link by link.
     """
-    mass, mu_w = _state_from(pi)
-    devs = _weighted_devs(mass)
-    a, links = _cascade_records(mass, mu_w, devs, tuples)
-    for rec in links:
-        _apply_switch(mass, rec)
-    new_pi = _state_coupling(mass)
-    step = CascadeStep(tuples, a, links, barycentre_report(new_pi).epsilon)
-    return new_pi, step
+    grid = _Grid(pi)
+    step = _cascade(grid, grid.devs(), tuples)
+    return grid.coupling(), step
 
 
 def rearrange(pi: DiscreteCoupling, tol_mart: float = DEFAULT_TOL_MART) -> RearrangementResult:
@@ -373,96 +338,61 @@ def rearrange(pi: DiscreteCoupling, tol_mart: float = DEFAULT_TOL_MART) -> Rearr
     loop terminates; a generous safety cap of |supp|^3 iterations guards
     against defects.  Each step adds to the cost exactly the deviation it
     removes, so after the loop the cost is ``epsilon_initial`` minus the
-    residual weighted deviation.  That residual is removed by snapping to the
-    projection LP's martingale coupling, whose value (at least the residual)
-    is added to the cost bound so the certificate stays valid.  The snap is
-    skipped only when every atom's deviation is within
-    ``min(tol_mart, DEFAULT_TOL_MART)``, so that the residual fits the
-    DEFAULT_TOL_MART slack of the sandwich check even when a larger
-    ``tol_mart`` stopped the loop early; the coupling is then returned as is,
-    with ``snap_plan`` and ``presnap`` left as None.
+    residual weighted deviation.  A snap to the projection LP's martingale
+    coupling removes that residual.  The residual is a lower bound on any
+    snap, by the sandwich, so the larger of the two is added to the bound and
+    reported as ``snap_value``: the certificate does not rest on the LP's last
+    bits.  The snap is skipped only when every atom's deviation is within
+    ``min(tol_mart, DEFAULT_TOL_MART)``, the sandwich check's slack; the
+    coupling is then returned as is, with ``snap_plan`` and ``presnap`` None.
     """
-    mu = pi.first_marginal
-    nu = pi.second_marginal
-    if not convex_order(mu, nu):
+    grid = _Grid(pi)
+    if not convex_order(grid.mu, grid.nu):
         raise ConvexOrderError("marginals are not in convex order")
-    mass, mu_w = _state_from(pi)
     eps_initial = barycentre_report(pi, tol_mart).epsilon
-    radius = nu.support_radius
     cap = max(len(pi) ** 3, 1000)
 
-    trace = []
-    cost = 0.0
-    entered_case2 = False
-    case1_after_case2 = False
+    trace, cost = [], 0.0
+    entered_case2 = case1_after_case2 = False
     for _ in range(cap):
-        devs = _weighted_devs(mass)
-        epsilon = sum(abs(d) for d in devs.values())
-        if epsilon <= tol_mart:
+        devs = grid.devs()
+        if float(np.abs(devs).sum()) <= tol_mart:
             break
-        minus, zero, plus = _classify(devs, mu_w, tol_mart)
+        scaled = (devs / grid.mu.weights).tolist()
+        minus = [r for r, d in enumerate(scaled) if d < -tol_mart]
+        plus = [r for r, d in enumerate(scaled) if d > tol_mart]
         if not minus or not plus:
             break  # residual deviation is tolerance dust; the snap absorbs it
-        pair = _find_pair(mass, minus, plus)
+        lo, hi = grid.extents()
+        pair = _find_pair(lo, hi, minus, plus)
         if pair is not None:
-            if entered_case2:
-                case1_after_case2 = True
-            x1m, x1p, x2m, x2p = pair
-            lam = _switch_lambda(mass, mu_w, devs, x1m, x1p, x2m, x2p)
+            case1_after_case2 = case1_after_case2 or entered_case2
+            lam = _switch_cap(grid, devs, *pair)
             if lam <= 0:
                 raise InternalError("switch produced no progress")
-            rec = SwitchRecord(x1m, x1p, x2m, x2p, lam)
-            _apply_switch(mass, rec)
-            epsilon_after = sum(abs(d) for d in _weighted_devs(mass).values())
-            trace.append(SwitchStep(rec, epsilon_after))
-            cost += 2.0 * rec.barycentre_shift
+            step = SwitchStep(_switch(grid, *pair, lam), grid.epsilon())
         else:
-            tuples = _find_tuples(mass, mu_w, devs, minus, zero, plus)
-            a, links = _cascade_records(mass, mu_w, devs, tuples)
-            for rec in links:
-                _apply_switch(mass, rec)
-            epsilon_after = sum(abs(d) for d in _weighted_devs(mass).values())
-            trace.append(CascadeStep(tuples, a, links, epsilon_after))
-            cost += 2.0 * (tuples.m + 1) * a
+            zero = [r for r, d in enumerate(scaled) if abs(d) <= tol_mart]
+            step = _cascade(grid, devs, _find_tuples(grid, lo, hi, minus, zero, plus))
             entered_case2 = True
+        cost += 2.0 * (step.m + 1) * step.a
+        trace.append(step)
     else:
         raise InternalError("rearrangement exceeded the iteration safety cap")
 
-    presnap = _state_coupling(mass)
-    snap_value = 0.0
-    snap_plan = None
-    if not is_martingale(presnap, min(tol_mart, DEFAULT_TOL_MART)):
+    presnap = grid.coupling()
+    residual = barycentre_report(presnap, min(tol_mart, DEFAULT_TOL_MART))
+    output, snap_value, snap_plan = presnap, 0.0, None
+    if residual.plus or residual.minus:
         projection = project_to_martingale(presnap)
-        output = projection.projected
-        snap_value = projection.value
-        snap_plan = projection.witness
+        output, snap_plan = projection.projected, projection.witness
+        snap_value = max(projection.value, residual.epsilon)
         cost += snap_value
-    else:
-        output = presnap
     return RearrangementResult(
-        output=output,
-        trace=tuple(trace),
-        cost_bound=cost,
-        epsilon_initial=eps_initial,
-        support_radius=radius,
-        snap_value=snap_value,
-        snap_plan=snap_plan,
+        output=output, trace=tuple(trace), cost_bound=cost, epsilon_initial=eps_initial,
+        support_radius=grid.nu.support_radius, snap_value=snap_value, snap_plan=snap_plan,
         presnap=presnap if snap_plan is not None else None,
-        case1_after_case2=case1_after_case2,
-    )
-
-
-def _row_moves(trace):
-    """Per-atom ordered (src, dst, mass) moves induced by the trace."""
-    moves = {}
-    for step in trace:
-        records = step.links if isinstance(step, CascadeStep) else (step.record,)
-        for rec in records:
-            if rec.mass_moved <= 0:
-                continue
-            moves.setdefault(rec.x1_minus, []).append((rec.x2_minus, rec.x2_plus, rec.mass_moved))
-            moves.setdefault(rec.x1_plus, []).append((rec.x2_plus, rec.x2_minus, rec.mass_moved))
-    return moves
+        case1_after_case2=case1_after_case2)
 
 
 def trace_to_bicausal_plan(pi: DiscreteCoupling, result: RearrangementResult) -> BicausalPlan:
@@ -473,62 +403,45 @@ def trace_to_bicausal_plan(pi: DiscreteCoupling, result: RearrangementResult) ->
     proportionally), then the snap witness when one was needed.  The plan cost
     never exceeds the certified bound.
     """
-    mu = pi.first_marginal
+    grid = _Grid(pi)
     target = result.presnap if result.presnap is not None else result.output
-    moves = _row_moves(result.trace)
+    if not np.array_equal(target.first_marginal.atoms, grid.mu.atoms):
+        raise InputError("trace does not match the supplied coupling")
+    moves = [[] for _ in grid.x1]  # per row: ordered (src, dst, mass) columns
+    for step in result.trace:
+        for rec in step.links if isinstance(step, CascadeStep) else (step.record,):
+            if rec.mass_moved > 0:
+                i, p = _index(grid.x1, (rec.x1_minus, rec.x1_plus))
+                jm, jp = _index(grid.x2, (rec.x2_minus, rec.x2_plus))
+                moves[i].append((jm, jp, rec.mass_moved))
+                moves[p].append((jp, jm, rec.mass_moved))
 
-    inners = {}
-    cost = 0.0
-    target_kernels = {x1: kern for x1, _, kern in target.kernel_items()}
-    for i, (x1, weight, kernel) in enumerate(pi.kernel_items()):
-        # origin-tracking composition: current location -> {origin -> mass}
-        located = {float(x2): {float(x2): float(w) * weight}
-                   for x2, w in zip(kernel.atoms, kernel.weights)}
-        for src, dst, lam in moves.get(x1, ()):
-            bucket = located.get(src)
-            total = sum(bucket.values()) if bucket else 0.0
+    plans = []
+    rows = zip(pi.kernel_items(), target.kernel_items())
+    for i, ((_, weight, kernel), (_, _, out_kernel)) in enumerate(rows):
+        # origins[o, c]: mass of this row that started in column o and sits in c
+        origins = np.diag(grid.mass[i])
+        for src, dst, lam in moves[i]:
+            total = float(origins[:, src].sum())
             if total + 1e-9 < lam:
                 raise InputError("trace does not match the supplied coupling")
-            scale = lam / total
-            sink = located.setdefault(dst, {})
-            for origin in list(bucket):
-                moved = bucket[origin] * scale
-                bucket[origin] -= moved
-                sink[origin] = sink.get(origin, 0.0) + moved
-            if sum(bucket.values()) <= MASS_DROP_TOL:
-                del located[src]
-        out_kernel = target_kernels[x1]
-        out_index = {float(b): j for j, b in enumerate(out_kernel.atoms)}
-        matrix = np.zeros((len(kernel), len(out_kernel)))
-        in_index = {float(b): j for j, b in enumerate(kernel.atoms)}
-        for cur, bucket in located.items():
-            j = out_index[min(out_kernel.atoms, key=lambda b, c=cur: abs(b - c))]
-            for origin, m in bucket.items():
-                matrix[in_index[origin], j] += m / weight
+            moved = origins[:, src] * (lam / total)
+            origins[:, src] -= moved
+            origins[:, dst] += moved
+            if origins[:, src].sum() <= MASS_DROP_TOL:
+                origins[:, src] = 0.0
+        matrix = origins[np.ix_(_index(grid.x2, kernel.atoms.tolist()),
+                                _index(grid.x2, out_kernel.atoms.tolist()))] / weight
         matrix *= out_kernel.weights / np.maximum(matrix.sum(axis=0), 1e-300)
-        plan = TransportPlan(kernel, out_kernel, matrix)
-        inners[(i, i)] = plan
-        cost += weight * plan.cost_p(1.0)
-
-    outer = TransportPlan(mu, mu, np.diag(mu.weights))
-    plan = BicausalPlan(outer, inners, 1.0, cost)
-    if result.snap_plan is None:
-        return plan
-    return _compose_diagonal(plan, result.snap_plan, mu)
-
-
-def _compose_diagonal(first: BicausalPlan, second: BicausalPlan,
-                      mu) -> BicausalPlan:
-    """Glue two identity-outer plans kernel by kernel (Markov composition)."""
-    inners = {}
-    cost = 0.0
-    for i, weight in enumerate(mu.weights):
-        p1 = first.inners[(i, i)]
-        p2 = second.inners[(i, i)]
-        middle = np.maximum(p2.matrix.sum(axis=1), 1e-300)
-        composed = p1.matrix @ (p2.matrix / middle[:, None])
-        plan = TransportPlan(p1.source, p2.target, composed)
-        inners[(i, i)] = plan
-        cost += float(weight) * plan.cost_p(1.0)
-    outer = TransportPlan(mu, mu, np.diag(mu.weights))
-    return BicausalPlan(outer, inners, 1.0, cost)
+        plans.append(TransportPlan(kernel, out_kernel, matrix))
+    if result.snap_plan is not None:
+        # glue the snap witness on, kernel by kernel (Markov composition)
+        for i, first in enumerate(plans):
+            second = result.snap_plan.inners[(i, i)]
+            middle = np.maximum(second.matrix.sum(axis=1), 1e-300)
+            plans[i] = TransportPlan(first.source, second.target,
+                                     first.matrix @ (second.matrix / middle[:, None]))
+    mu = grid.mu
+    cost = sum(float(w) * plan.cost_p(1.0) for w, plan in zip(mu.weights, plans))
+    return BicausalPlan(TransportPlan(mu, mu, np.diag(mu.weights)),
+                        {(i, i): plan for i, plan in enumerate(plans)}, 1.0, cost)

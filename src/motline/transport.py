@@ -135,6 +135,15 @@ def grid_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, masses: np.ndarray,
     return make_coupling(points)
 
 
+def coupling_grid(pi: DiscreteCoupling):
+    """The inverse of ``grid_coupling``: (mu, nu, masses) with the marginals of
+    a coupling and its masses on the grid mu.atoms x nu.atoms."""
+    mu, nu = pi.first_marginal, pi.second_marginal
+    masses = np.zeros((len(mu), len(nu)))
+    masses[np.searchsorted(mu.atoms, pi.x1), np.searchsorted(nu.atoms, pi.x2)] = pi.w
+    return mu, nu, masses
+
+
 def solve_transport(cost: np.ndarray, source_w: np.ndarray, target_w: np.ndarray):
     """Transportation LP: returns (optimal value, mass matrix).
 

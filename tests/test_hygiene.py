@@ -1,4 +1,5 @@
-"""Import hygiene: every module-level import in the package is used.
+"""Hygiene: every module-level import in the package is used, and every
+private function reads all of its parameters.
 
 No linter is installed and the runtime stays numpy-only, so this walks the
 syntax trees with ``ast``.  Names re-exported by ``__init__.py`` are exempt.
@@ -107,3 +108,38 @@ def test_checker_flags_an_unused_import(tmp_path):
                       "import os\nimport numpy as np\nfrom typing import Optional, Union\n"
                       "def f(x) -> \"Optional[int]\":\n    return np.abs(x)\n")
     assert unused_imports(source) == ["os", "Union"]
+
+
+def unused_parameters(path: Path) -> list:
+    """"name(parameter)" for each parameter that a private (``_``-prefixed,
+    not dunder) function never reads; ``self`` and ``cls`` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}({p})" for p in params
+                  if p not in read and p not in ("self", "cls")]
+    return found
+
+
+def test_private_functions_read_every_parameter():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: unused_parameters(p) for p in modules}
+    assert {name: params for name, params in found.items() if params} == {}
+
+
+def test_checker_flags_an_unused_parameter(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("def _f(a, b, *args, c=1, **kw):\n    b = a\n    return c\n"
+                      "def g(unused):\n    return 0\n"
+                      "class K:\n    def _m(self, x):\n        return [x for _ in ()]\n"
+                      "    def __init__(self, y):\n        pass\n")
+    assert unused_parameters(source) == ["_f(b)", "_f(args)", "_f(kw)"]

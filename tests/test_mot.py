@@ -32,7 +32,8 @@ from motline import (
     strassen_feasible,
 )
 from motline.measures import ATOM_MERGE_TOL, DiscreteCoupling
-from motline.mot import _barycentre_rows, _merged_ranks, _single_competitor
+from motline.mot import _merged_ranks, _single_competitor
+from motline.transport import coupling_grid
 
 from conftest import coupling_cost
 
@@ -481,7 +482,7 @@ def _sample_support(pi, idx):
 
 
 def _grid_support(alpha):
-    rows, cols = np.nonzero(_barycentre_rows(alpha)[2])
+    rows, cols = np.nonzero(coupling_grid(alpha)[2])
     return rows.tolist(), cols.tolist()
 
 
@@ -798,3 +799,31 @@ def test_penalized_row_check_scales_with_the_atoms(seed):
     mu, nu = random_convex_pair(seed, m, 2 * m, radius=1e4)
     value, _ = mot_solve(mu, nu, CostSpec.absolute())
     assert penalized_ot(mu, nu, CostSpec.absolute(), 1.0) == pytest.approx(value, rel=1e-9)
+
+
+def test_monotonicity_check_takes_a_matrix_cost():
+    # an uncertified sample used to raise "cost matrix shape does not match
+    # the supports": the matrix is over pi's grid, the sample's LP over its own
+    mu, nu = random_convex_pair(0, 5, 10)
+    cost = CostSpec.from_matrix(np.random.default_rng(0).normal(size=(5, 10)))
+    optimizer = mot_solve(mu, nu, cost)[1]
+    report = monotonicity_check(optimizer, cost, 40, 4, 0)
+    assert report.samples == 40 and report.n_violations == 0
+
+
+def test_matrix_cost_slices_like_the_analytic_cost():
+    # the abs cost written out as a matrix over pi's grid finds exactly the
+    # violations of CostSpec.absolute()
+    cases = [make_coupling(SUBOPTIMAL)]
+    for seed in range(3):
+        mu, nu = random_convex_pair(seed, m=5 + seed, k=10 + seed)
+        matrix = np.random.default_rng(seed).normal(size=(len(mu), len(nu)))
+        cases.append(mot_solve(mu, nu, CostSpec.from_matrix(matrix))[1])
+    total = 0
+    for seed, pi in enumerate(cases):
+        mu, nu = pi.first_marginal, pi.second_marginal
+        as_matrix = CostSpec.from_matrix(np.abs(nu.atoms[None, :] - mu.atoms[:, None]))
+        expected = monotonicity_check(pi, CostSpec.absolute(), 40, 4, seed)
+        assert monotonicity_check(pi, as_matrix, 40, 4, seed).violations == expected.violations
+        total += expected.n_violations
+    assert total > 0

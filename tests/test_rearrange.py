@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from motline import (
     SwitchStep,
     barycentre_report,
     cascade,
+    example1_family1,
+    example1_family2,
     find_exchange_tuples,
     find_switch_pair,
     hoeffding_frechet,
@@ -363,3 +367,67 @@ def test_rearrange_snaps_under_large_tol_mart(points):
     assert nd_lower_bound(pi) - TOL <= res.snap_value
     plan = trace_to_bicausal_plan(pi, res)
     assert plan.cost <= res.cost_bound + TOL
+
+
+@pytest.mark.parametrize("points", [LIGHT_ATOM, SMALL_RESIDUAL],
+                         ids=["light_atom", "small_residual"])
+def test_snap_bound_does_not_rest_on_the_lp_last_bits(points, monkeypatch):
+    # a snap LP whose value rounds just below the residual deviation must not
+    # pull the bound below epsilon_initial: the residual bounds any snap
+    import motline.rearrangement as rearrangement
+
+    project = rearrangement.project_to_martingale
+
+    def rounded_low(pi):
+        result = project(pi)
+        return dataclasses.replace(result, value=result.value - 1e-15)
+
+    monkeypatch.setattr(rearrangement, "project_to_martingale", rounded_low)
+    res = rearrange(make_coupling(points), tol_mart=0.05)
+    assert res.presnap is not None
+    assert res.cost_bound == res.snap_value
+    assert res.cost_bound >= res.epsilon_initial
+
+
+def _stepping_couplings():
+    cases = [example1_family1(n)[0] for n in range(2, 9)]
+    cases += [example1_family2(n)[0] for n in (1, 2, 3)]
+    for seed in range(20):
+        mu, nu = random_convex_pair(seed, m=2 + seed % 5, k=6 + seed % 4)
+        cases.append(random_coupling(seed + 7, mu, nu))
+    return cases + [make_coupling(ENDPOINT_CAP)]
+
+
+def test_loop_and_helpers_take_the_same_step():
+    kinds = set()
+    for pi in _stepping_couplings():
+        first = rearrange(pi).trace[0]
+        kinds.add(type(first))
+        pair = find_switch_pair(pi)
+        if pair is not None:
+            _, record = switch_assignment(pi, *pair)
+            assert isinstance(first, SwitchStep)
+            assert first.record == record
+        else:
+            _, step = cascade(pi, find_exchange_tuples(pi))
+            assert isinstance(first, CascadeStep)
+            assert first.tuples == step.tuples and first.links == step.links
+            assert (first.a, first.epsilon_after) == (step.a, step.epsilon_after)
+    assert kinds == {SwitchStep, CascadeStep}
+
+
+def test_rearrange_coordinates_chained_within_merge_tol():
+    # each coordinate becomes a run of three values 6e-13 apart, which
+    # make_coupling merges into one atom although the run spans more than
+    # ATOM_MERGE_TOL; the steps then compare the merged atoms' columns
+    for seed in range(6):
+        mu, nu = random_convex_pair(seed, m=3 + seed % 3, k=7)
+        base = random_coupling(seed + 5, mu, nu)
+        pi = make_coupling([(a + s * 6e-13, b + t * 6e-13, w / 9)
+                            for a, b, w in zip(base.x1, base.x2, base.w)
+                            for s in range(3) for t in range(3)])
+        assert len(pi) == len(base)
+        res = rearrange(pi)
+        assert res.steps > 0
+        assert is_martingale(res.output)
+        assert trace_to_bicausal_plan(pi, res).cost <= res.cost_bound + EXACT
