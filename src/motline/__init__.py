@@ -14,7 +14,6 @@ from .errors import (
     SizeGuardError,
 )
 from .lab import (
-    InstanceFamily,
     SweepResult,
     continuity_sweep,
     example1_family1,

@@ -24,6 +24,7 @@ from .jsonio import (
     canonical_dumps,
     coupling_to_dict,
     load_coupling,
+    load_json,
     load_measure,
 )
 from .lab import continuity_sweep, example1_family1, example1_family2, projection_stability
@@ -65,24 +66,29 @@ def _resolve_cost(args) -> CostSpec:
     """Pick between --cost and --cost-matrix (an explicit grid wins)."""
     matrix_path = getattr(args, "cost_matrix", None)
     if matrix_path:
-        import json as _json
-
+        data = load_json(matrix_path)
         try:
-            with open(matrix_path, "r", encoding="utf-8") as handle:
-                data = _json.load(handle)
             return CostSpec.from_matrix(data["matrix"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"cannot read cost matrix {matrix_path}: {exc}") from exc
     return parse_cost(args.cost)
 
 
-def _emit(args, payload: dict) -> None:
-    text = canonical_dumps(payload)
-    if getattr(args, "out", None):
+def _write(args, text: str) -> None:
+    """Write the command's output to --out, or to stdout without it; an
+    unwritable --out is a usage error."""
+    if not getattr(args, "out", None):
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+            handle.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.out}: {exc}") from exc
+
+
+def _emit(args, payload: dict) -> None:
+    _write(args, canonical_dumps(payload) + "\n")
 
 
 def _cmd_check(args) -> int:
@@ -137,7 +143,7 @@ def _cmd_mot_kappa(args) -> int:
     else:
         cost = parse_cost(args.chat)
         chat = lambda x1, x2, y2: float(cost.evaluate(x1, y2))  # noqa: E731
-    spec = KappaSpec.from_coupling(reference, chat)
+    spec = KappaSpec(reference, chat)
     value = kappa_objective(pi, spec)
     _emit(args, {"value": value})
     return EXIT_OK
@@ -199,16 +205,7 @@ def _cmd_rearrange(args) -> int:
     }
     if result.epsilon_initial > result.cost_bound + 1e-9:
         raise InternalError("sandwich violated: cost bound below initial deviation")
-    stream = sys.stdout
-    if getattr(args, "out", None):
-        stream = open(args.out, "w", encoding="utf-8")
-    try:
-        for line in lines:
-            stream.write(canonical_dumps(line) + "\n")
-        stream.write(canonical_dumps(summary) + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    _write(args, "".join(canonical_dumps(line) + "\n" for line in lines + [summary]))
     return EXIT_OK
 
 
@@ -252,12 +249,7 @@ def _cmd_lab_stability(args) -> int:
 
 def _write_sweep(args, result) -> None:
     if args.format == "csv":
-        text = result.to_csv()
-        if getattr(args, "out", None):
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            print(text, end="")
+        _write(args, result.to_csv())
     else:
         _emit(args, {"rows": [dict(row) for row in result.rows],
                      "metadata": result.metadata,

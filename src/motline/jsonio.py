@@ -20,7 +20,10 @@ from .measures import DiscreteCoupling, DiscreteMeasure, make_coupling, make_mea
 PARSE_WEIGHT_TOL = 1e-6
 
 
-def _load_json(path: str) -> dict:
+def load_json(path: str) -> dict:
+    """The JSON object in a file; an unreadable file, invalid JSON, a
+    non-finite constant or a top-level value that is not an object raises
+    ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle, parse_constant=_reject_constant)
@@ -45,7 +48,7 @@ def _finite_array(values, path: str, what: str) -> np.ndarray:
 
 
 def load_measure(path: str) -> DiscreteMeasure:
-    data = _load_json(path)
+    data = load_json(path)
     if set(data) != {"atoms", "weights"}:
         raise ParseError(f"{path}: expected exactly the keys 'atoms' and 'weights'")
     try:
@@ -63,7 +66,7 @@ def load_measure(path: str) -> DiscreteMeasure:
 
 
 def load_coupling(path: str) -> DiscreteCoupling:
-    data = _load_json(path)
+    data = load_json(path)
     if set(data) != {"points"}:
         raise ParseError(f"{path}: expected exactly the key 'points'")
     try:
@@ -77,11 +80,6 @@ def load_coupling(path: str) -> DiscreteCoupling:
     if abs(pts[:, 2].sum() - 1.0) > PARSE_WEIGHT_TOL:
         raise ParseError(f"{path}: masses sum to {pts[:, 2].sum()!r}, not 1")
     return make_coupling(pts)
-
-
-def measure_to_dict(mu: DiscreteMeasure) -> dict:
-    return {"atoms": [float(a) for a in mu.atoms],
-            "weights": [float(w) for w in mu.weights]}
 
 
 def coupling_to_dict(pi: DiscreteCoupling) -> dict:

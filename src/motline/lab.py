@@ -29,25 +29,6 @@ MONOTONE_SLACK = 1e-9
 _PERTURB_RETRIES = 50
 
 
-@dataclass(frozen=True)
-class InstanceFamily:
-    """Named generator with its parameters; ``build`` dispatches by name."""
-
-    name: str
-    params: dict
-
-    def build(self):
-        if self.name == "example1_family1":
-            return example1_family1(**self.params)
-        if self.name == "example1_family2":
-            return example1_family2(**self.params)
-        if self.name == "random_convex_pair":
-            return random_convex_pair(**self.params)
-        if self.name == "random_coupling":
-            return random_coupling(**self.params)
-        raise InputError(f"unknown instance family {self.name!r}")
-
-
 def example1_family1(n: int):
     """First counterexample family: uniform marginals on 1..n, each interior
     atom split one step left/right, the two edge atoms split inward.

@@ -410,3 +410,12 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
         violation = max(violation, float(np.max(np.maximum(x[finite] - lp.upper[finite], 0.0))))
     return LpSolution("optimal", x, objective, max_violation=violation,
                       pivots=(pivots1, pivots2))
+
+
+def check_point(sol: LpSolution, name: str, row_scale: float = 1.0) -> None:
+    """Raise InternalError unless ``sol`` is optimal and breaks no row by more
+    than FEAS_TOL in units of ``row_scale``; ``name`` names the LP."""
+    if sol.status != "optimal":
+        raise InternalError(f"{name} LP reported {sol.status}")
+    if sol.max_violation > FEAS_TOL * row_scale:
+        raise InternalError(f"{name} LP point breaks its rows by {sol.max_violation:.3g}")

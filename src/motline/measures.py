@@ -81,10 +81,6 @@ class DiscreteMeasure:
     def support_radius(self) -> float:
         return float(np.max(np.abs(self.atoms)))
 
-    def cumulative(self) -> np.ndarray:
-        """Running weight totals; last entry equals 1 up to rounding."""
-        return np.cumsum(self.weights)
-
 
 def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMeasure:
     """Sort, merge duplicate locations, drop zero weights, renormalize to mass 1."""
@@ -174,30 +170,26 @@ class DiscreteCoupling:
         return DiscreteMeasure(atoms, weights / weights.sum())
 
     @cached_property
-    def _kernels(self) -> dict:
-        kernels = {}
+    def kernels(self) -> tuple:
+        """Conditional laws of the second coordinate, one per first-marginal
+        atom in order; kernel i is the slice of the sorted points at atom i."""
         mu = self.first_marginal
-        for atom, weight in zip(mu.atoms, mu.weights):
-            sel = self.x1 == atom
-            kernels[float(atom)] = DiscreteMeasure(self.x2[sel], self.w[sel] / weight)
-        return kernels
+        bounds = np.searchsorted(self.x1, mu.atoms).tolist() + [len(self)]
+        return tuple(DiscreteMeasure(self.x2[a:b], self.w[a:b] / weight)
+                     for a, b, weight in zip(bounds, bounds[1:], mu.weights))
 
     def kernel(self, x1: float) -> DiscreteMeasure:
         """Conditional law of the second coordinate given the first."""
-        try:
-            return self._kernels[float(x1)]
-        except KeyError:
-            raise InputError(f"{x1!r} is not an atom of the first marginal") from None
+        atoms = self.first_marginal.atoms
+        i = int(np.searchsorted(atoms, x1))
+        if i == len(atoms) or atoms[i] != x1:
+            raise InputError(f"{x1!r} is not an atom of the first marginal")
+        return self.kernels[i]
 
     def kernel_items(self):
         """Iterate (x1 atom, its marginal weight, conditional law)."""
         mu = self.first_marginal
-        return [(float(a), float(w), self._kernels[float(a)])
-                for a, w in zip(mu.atoms, mu.weights)]
-
-    def point_masses(self) -> dict:
-        return {(float(a), float(b)): float(m)
-                for a, b, m in zip(self.x1, self.x2, self.w)}
+        return list(zip(mu.atoms.tolist(), mu.weights.tolist(), self.kernels))
 
     def planar_points(self):
         """Support as an (N, 2) array plus the mass vector."""

@@ -11,17 +11,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConvexOrderError, InputError, InternalError, SizeGuardError
-from .lp import FEAS_TOL, LinearProgram, solve_lp
+from .lp import LinearProgram, check_point, solve_lp
 from .measures import (
     ATOM_MERGE_TOL,
     DiscreteCoupling,
     DiscreteMeasure,
     make_coupling,
 )
-from .transport import (TransportPlan, coupling_grid, grid_coupling, grid_rows,
+from .transport import (GRID_DROP, TransportPlan, coupling_grid, grid_coupling, grid_rows,
                         north_west_start, solve_transport)
 
-_DROP = 1e-12
 IMPROVE_TOL = 1e-7
 
 
@@ -120,12 +119,9 @@ def mot_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
     sol = _solve_martingale_lp(mu, nu, cost.matrix_for(mu, nu).ravel())
     if sol.status == "infeasible":
         raise ConvexOrderError("marginals are not in convex order")
-    if sol.status != "optimal":
-        raise InternalError(f"martingale LP reported {sol.status}")
-    if sol.max_violation > FEAS_TOL * _row_scale(mu, nu):
-        raise InternalError(f"martingale LP point breaks its rows by {sol.max_violation:.3g}")
+    check_point(sol, "martingale", _row_scale(mu, nu))
     masses = sol.x.reshape(len(mu), len(nu))
-    return sol.objective, grid_coupling(mu, nu, masses, _DROP)
+    return sol.objective, grid_coupling(mu, nu, masses, GRID_DROP)
 
 
 def strassen_feasible(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
@@ -176,30 +172,23 @@ def penalized_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, L: fl
                                  a_ub=a_ub, b_ub=np.zeros(3 * m)), start=start)
     if sol.status == "infeasible":
         raise ConvexOrderError("no dispersion-feasible coupling: marginals not in convex order")
-    if sol.status != "optimal":
-        raise InternalError(f"penalized LP reported {sol.status}")
-    if sol.max_violation > FEAS_TOL * _row_scale(mu, nu):
-        raise InternalError(f"penalized LP point breaks its rows by {sol.max_violation:.3g}")
+    check_point(sol, "penalized", _row_scale(mu, nu))
     return sol.objective
 
 
 @dataclass(frozen=True, eq=False)
 class KappaSpec:
-    """Reference kernel x1 -> law plus a three-argument cost on (x1, x2, y2)."""
+    """Reference coupling, whose kernels x1 -> law are the reference, plus a
+    three-argument cost on (x1, x2, y2)."""
 
-    kernels: dict
+    reference: DiscreteCoupling
     chat: Callable[[float, float, float], float]
 
     def kernel(self, x1: float) -> DiscreteMeasure:
         try:
-            return self.kernels[float(x1)]
-        except KeyError:
+            return self.reference.kernel(x1)
+        except InputError:
             raise InputError(f"kernel is not defined at first-marginal atom {x1!r}") from None
-
-    @classmethod
-    def from_coupling(cls, reference: DiscreteCoupling, chat) -> "KappaSpec":
-        kernels = {x1: kern for x1, _, kern in reference.kernel_items()}
-        return cls(kernels, chat)
 
 
 def _chat_matrix(kappa: KappaSpec, x1: float, left: DiscreteMeasure,
@@ -262,7 +251,7 @@ def kappa_solve_bruteforce(kappa: KappaSpec, mu: DiscreteMeasure, nu: DiscreteMe
         raise ConvexOrderError("martingale polytope is empty")
     best_value, best_coupling = np.inf, None
     for vertex in vertices:
-        coupling = grid_coupling(mu, nu, vertex.reshape(len(mu), len(nu)), _DROP)
+        coupling = grid_coupling(mu, nu, vertex.reshape(len(mu), len(nu)), GRID_DROP)
         value = kappa_objective(coupling, kappa)
         if value < best_value - 1e-15:
             best_value, best_coupling = value, coupling
@@ -333,12 +322,9 @@ def competitor_improve(alpha: DiscreteCoupling, cost: CostSpec,
 
     a_eq, b_eq = _competitor_system(grid, sb)
     sol = solve_lp(LinearProgram(objective=cost_matrix.ravel(), a_eq=a_eq, b_eq=b_eq))
-    if sol.status != "optimal":
-        raise InternalError(f"competitor LP reported {sol.status} on a feasible instance")
-    if sol.max_violation > FEAS_TOL * _row_scale(sa, sb):
-        raise InternalError(f"competitor LP point breaks its rows by {sol.max_violation:.3g}")
+    check_point(sol, "competitor", _row_scale(sa, sb))
     if sol.objective < current - tol:
-        return grid_coupling(sa, sb, sol.x.reshape(m, k), _DROP)
+        return grid_coupling(sa, sb, sol.x.reshape(m, k), GRID_DROP)
     return None
 
 
@@ -418,25 +404,29 @@ def monotonicity_check(pi: DiscreteCoupling, cost: CostSpec, samples: int,
     return MonotonicityReport(samples, subset_size, rng_seed, tuple(violations))
 
 
-def kappa_competitor_improve(alpha: DiscreteCoupling, gammas: dict, kappa: KappaSpec,
-                             tol: float = IMPROVE_TOL):
+def kappa_competitor_improve(alpha: DiscreteCoupling, gammas: Sequence[TransportPlan],
+                             kappa: KappaSpec, tol: float = IMPROVE_TOL):
     """Competitor search for the kernel-extended objective.
 
-    ``gammas[x1]`` must couple the reference kernel with the kernel of
-    ``alpha`` at x1.  The search jointly optimizes a competitor measure and
-    fresh inner plans in one LP; returns (competitor, new inner plans) when the
-    objective drops by more than tol, else None.
+    ``gammas[i]`` must couple the reference kernel with the kernel of
+    ``alpha`` at its i-th first-marginal atom.  The search jointly optimizes a
+    competitor measure and fresh inner plans in one LP over the inner plans
+    alone, stacked into one grid of (reference atoms) x (alpha's second
+    marginal atoms): its row sums are the reference kernels scaled by alpha's
+    row masses, its column sums are alpha's second marginal, and the block
+    sums of its barycentre rows pin alpha's conditional barycentres.  The
+    competitor is the block column sums.  Returns (competitor, new inner
+    plans in the same order) when the objective drops by more than tol, else
+    None.
     """
     sa, sb, grid = coupling_grid(alpha)
     m, k = len(sa), len(sb)
-    items = alpha.kernel_items()
+    if len(gammas) != m:
+        raise InputError(f"need {m} inner plans, one per first-marginal atom, not {len(gammas)}")
+    refs = []
     current = 0.0
-    for x1, weight, kernel in items:
+    for (x1, weight, kernel), plan in zip(alpha.kernel_items(), gammas):
         ref = kappa.kernel(x1)
-        try:
-            plan = gammas[float(x1)]
-        except KeyError:
-            raise InputError(f"missing inner plan at {x1!r}") from None
         if (len(plan.source) != len(ref)
                 or np.max(np.abs(plan.source.atoms - ref.atoms)) > 1e-12
                 or np.max(np.abs(plan.source.weights - ref.weights)) > 1e-9
@@ -445,52 +435,31 @@ def kappa_competitor_improve(alpha: DiscreteCoupling, gammas: dict, kappa: Kappa
                 or np.max(np.abs(plan.target.weights - kernel.weights)) > 1e-9):
             raise InputError(f"inner plan at {x1!r} does not couple the required laws")
         current += weight * float(np.sum(plan.matrix * _chat_matrix(kappa, x1, ref, kernel)))
+        refs.append(ref)
 
-    refs = [kappa.kernel(float(x)) for x in sa.atoms]
-    sizes = np.array([len(ref) for ref in refs])
-    offsets = k * np.concatenate([[0], np.cumsum(sizes)])
-    tgt0 = offsets[-1]
-    n_src, n_tgt = int(sizes.sum()), m * k
-    n_vars = tgt0 + n_tgt
-
-    # rows: inner source marginals alpha1(x1) * kappa_x1 (n_src), inner target
-    # marginals = competitor rows (m * k), then the competitor's second
-    # marginal (k) and its pinned conditional barycentres (m)
-    a_eq = np.zeros((n_src + n_tgt + k + m, n_vars))
-    for i, size in enumerate(sizes):
-        inner = grid_rows(size, k)
-        src0 = offsets[i] // k
-        a_eq[src0 : src0 + size, offsets[i] : offsets[i + 1]] = inner[:size]
-        a_eq[n_src + i * k : n_src + (i + 1) * k, offsets[i] : offsets[i + 1]] = inner[size:]
-    a_eq[n_src + np.arange(n_tgt), tgt0 + np.arange(n_tgt)] = -1.0
-    rows, rhs = _competitor_system(grid, sb)
-    a_eq[n_src + n_tgt :, tgt0:] = rows[m:]
-    b_eq = np.concatenate([rhs[i] * ref.weights for i, ref in enumerate(refs)]
-                          + [np.zeros(n_tgt), rhs[m:]])
-
-    objective = np.zeros(n_vars)
-    for i, ref in enumerate(refs):
-        cmat = _chat_matrix(kappa, float(sa.atoms[i]), ref, sb)
-        objective[offsets[i] : offsets[i + 1]] = cmat.ravel()
+    # inner plan i is the block of source rows from starts[i]
+    sizes = [len(ref) for ref in refs]
+    starts, n_src = np.cumsum([0] + sizes[:-1]), sum(sizes)
+    rows = grid_rows(n_src, k, [np.broadcast_to(sb.atoms, (n_src, k))])
+    _, rhs = _competitor_system(grid, sb)
+    a_eq = np.vstack([rows[: n_src + k], np.add.reduceat(rows[n_src + k :], starts)])
+    b_eq = np.concatenate([rhs[i] * ref.weights for i, ref in enumerate(refs)] + [rhs[m:]])
+    objective = np.concatenate([_chat_matrix(kappa, x1, ref, sb).ravel()
+                                for x1, ref in zip(sa.atoms.tolist(), refs)])
 
     sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq))
-    if sol.status != "optimal":
-        raise InternalError(f"kappa competitor LP reported {sol.status} on a feasible instance")
-    if sol.max_violation > FEAS_TOL * _row_scale(sa, sb):
-        raise InternalError(
-            f"kappa competitor LP point breaks its rows by {sol.max_violation:.3g}")
+    check_point(sol, "kappa competitor", _row_scale(sa, sb))
     if sol.objective >= current - tol:
         return None
-    target = sol.x[tgt0:].reshape(m, k)
-    competitor = grid_coupling(sa, sb, target, _DROP)
+    target = np.add.reduceat(sol.x.reshape(n_src, k), starts)
+    competitor = grid_coupling(sa, sb, target, GRID_DROP)
+    if not np.array_equal(competitor.first_marginal.atoms, sa.atoms):
+        raise InternalError("competitor does not keep the first marginal's atoms")
     # re-derive the inner plans from the competitor by exact small transports;
     # this reproduces the joint optimum given the competitor's kernels
-    new_plans = {}
-    comp_kernels = {x1: kern for x1, _, kern in competitor.kernel_items()}
-    for i, ref in enumerate(refs):
-        x1 = float(sa.atoms[i])
-        kernel = comp_kernels[x1]
+    new_plans = []
+    for x1, ref, kernel in zip(sa.atoms.tolist(), refs, competitor.kernels):
         _, matrix = solve_transport(_chat_matrix(kappa, x1, ref, kernel),
                                     ref.weights, kernel.weights)
-        new_plans[x1] = TransportPlan(ref, kernel, np.maximum(matrix, 0.0))
+        new_plans.append(TransportPlan(ref, kernel, np.maximum(matrix, 0.0)))
     return competitor, new_plans

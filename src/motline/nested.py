@@ -10,16 +10,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvexOrderError, InternalError, SizeGuardError
-from .lp import FEAS_TOL, LinearProgram, solve_lp
+from .lp import LinearProgram, check_point, solve_lp
 from .measures import (
     DiscreteCoupling,
     barycentre_report,
     make_coupling,
 )
-from .transport import (TransportPlan, _require_p, grid_rows, north_west_start,
-                        optimal_coupling_1d, solve_transport, w_p_1d)
-
-_DROP = 1e-12
+from .transport import (GRID_DROP, TransportPlan, _require_p, grid_coupling, grid_rows,
+                        north_west_start, optimal_coupling_1d, solve_transport, w_p_1d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,10 +33,6 @@ class BicausalPlan:
     inners: dict
     p: float
     cost: float
-
-    @property
-    def distance(self) -> float:
-        return max(self.cost, 0.0) ** (1.0 / self.p)
 
 
 def nested_w_p(pi: DiscreteCoupling, rho: DiscreteCoupling, p: float = 1.0):
@@ -60,7 +54,7 @@ def nested_w_p(pi: DiscreteCoupling, rho: DiscreteCoupling, p: float = 1.0):
                                     rho.first_marginal.weights)
     outer = TransportPlan(pi.first_marginal, rho.first_marginal, matrix)
     inners = {}
-    for i, j in zip(*np.nonzero(matrix > _DROP)):
+    for i, j in zip(*np.nonzero(matrix > GRID_DROP)):
         inners[(int(i), int(j))] = optimal_coupling_1d(a_items[i][2], b_items[j][2])
     cost = float(np.sum(matrix * outer_cost))
     return max(value, 0.0) ** (1.0 / p), BicausalPlan(outer, inners, p, cost)
@@ -141,10 +135,7 @@ def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
     sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq), start=start)
     if sol.status == "infeasible":
         raise ConvexOrderError("martingale polytope is empty: marginals not in convex order")
-    if sol.status != "optimal":
-        raise InternalError(f"projection LP reported {sol.status}")
-    if sol.max_violation > FEAS_TOL:
-        raise InternalError(f"projection LP point breaks its rows by {sol.max_violation:.3g}")
+    check_point(sol, "projection")
     return span * sol.objective, sol.x[:n_tgt].reshape(m, k)
 
 
@@ -176,9 +167,7 @@ def project_to_martingale(pi: DiscreteCoupling) -> ProjectionResult:
     mu = pi.first_marginal
     nu = pi.second_marginal
     value, target = _projection_lp(pi)
-    points = [(mu.atoms[r], nu.atoms[b], target[r, b])
-              for r, b in zip(*np.nonzero(target > _DROP))]
-    projected = make_coupling(points)
+    projected = grid_coupling(mu, nu, target, GRID_DROP)
 
     # kernel i of the projection must be the image of kernel i of pi: a row
     # dropped or merged on the way would shift the pairing below

@@ -136,13 +136,6 @@ class RearrangementResult:
     def steps(self) -> int:
         return len(self.trace)
 
-    @property
-    def bound_to_epsilon_ratio(self) -> Optional[float]:
-        """Empirical ratio cost_bound / initial deviation (None for martingale input)."""
-        if self.epsilon_initial <= 0:
-            return None
-        return self.cost_bound / self.epsilon_initial
-
 
 def _index(atoms: list, values) -> list:
     """Positions of ``values`` in the sorted list ``atoms``; each must be an atom."""

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InternalError
-from .lp import FEAS_TOL, LinearProgram, solve_lp
+from .errors import InputError
+from .lp import LinearProgram, check_point, solve_lp
 from .measures import (
     MASS_DROP_TOL,
     DiscreteCoupling,
@@ -18,6 +18,7 @@ from .measures import (
 )
 
 PLAN_TOL = 1e-9
+GRID_DROP = 1e-12  # grid masses of an LP optimum at or below this are empty cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +46,6 @@ class TransportPlan:
         """Total cost under |x - y|^p."""
         gaps = np.abs(self.source.atoms[:, None] - self.target.atoms[None, :])
         return float(np.sum(self.matrix * gaps**p))
-
-    def to_coupling(self) -> DiscreteCoupling:
-        return grid_coupling(self.source, self.target, self.matrix, 0.0)
 
 
 def _require_p(p: float) -> float:
@@ -158,10 +156,7 @@ def solve_transport(cost: np.ndarray, source_w: np.ndarray, target_w: np.ndarray
     start, _ = north_west_start(source_w, target_w)
     sol = solve_lp(LinearProgram(objective=cost.ravel(), a_eq=grid_rows(n1, n2), b_eq=b_eq),
                    start=start)
-    if sol.status != "optimal":
-        raise InternalError(f"transportation LP reported {sol.status}")
-    if sol.max_violation > FEAS_TOL:
-        raise InternalError(f"transportation LP point breaks its rows by {sol.max_violation:.3g}")
+    check_point(sol, "transportation")
     return sol.objective, sol.x.reshape(n1, n2)
 
 

@@ -232,14 +232,14 @@ def test_criterion_13_kappa_extension():
         pi = random_coupling(9600 + seed, mu, nu)
         reference = random_coupling(9700 + seed, mu, nu)
         cost = CostSpec.absolute()
-        spec = KappaSpec.from_coupling(reference,
+        spec = KappaSpec(reference,
                                        lambda x1, x2, y2: float(cost.evaluate(x1, y2)))
         direct = coupling_cost(pi, lambda a, b: abs(b - a))
         assert abs(kappa_objective(pi, spec) - direct) <= 1e-9
     for seed in range(10):
         mu, nu = random_convex_pair(9800 + seed, m=2 + seed % 2, k=3 + seed % 2, radius=4.0)
         reference = random_coupling(9900 + seed, mu, nu)
-        spec = KappaSpec.from_coupling(reference, lambda x1, x2, y2: abs(x2 - y2))
+        spec = KappaSpec(reference, lambda x1, x2, y2: abs(x2 - y2))
         value, _ = kappa_solve_bruteforce(spec, mu, nu)
         oracle = min(kappa_objective(vertex, spec)
                      for vertex in _independent_martingale_vertices(mu, nu))

@@ -207,3 +207,22 @@ def test_debug_lp_flag_is_gone(files, tmp_path):
     dump = tmp_path / "tableaus.txt"
     assert main(["--debug-lp", str(dump), "project", files["pi"]]) == 2
     assert not dump.exists()
+
+
+@pytest.mark.parametrize("command", [["project"], ["rearrange"],
+                                     ["lab", "stability", "--format", "csv"]])
+def test_unwritable_out_is_a_usage_error(files, tmp_path, capsys, command):
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert main(command + [files["pi"], "--out", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_cost_matrix_is_a_usage_error(files, tmp_path):
+    for text in ('{"values": [[0.0, 1.0]]}', '{"matrix": [[0.0, NaN]]}', "[[0.0, 1.0]]",
+                 "not json"):
+        path = tmp_path / "cost.json"
+        path.write_text(text)
+        assert main(["mot", "solve", files["mu"], files["nu"], "--cost-matrix", str(path)]) == 2
+    assert main(["mot", "solve", files["mu"], files["nu"],
+                 "--cost-matrix", str(tmp_path / "missing.json")]) == 2

@@ -1,5 +1,6 @@
-"""Hygiene: every module-level import in the package is used, and every
-private function reads all of its parameters.
+"""Hygiene: every module-level import in the package is used, every
+private function reads all of its parameters, and every function, class and
+method the package defines is read somewhere in the repository.
 
 No linter is installed and the runtime stays numpy-only, so this walks the
 syntax trees with ``ast``.  Names re-exported by ``__init__.py`` are exempt.
@@ -16,6 +17,9 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 KEPT = {
     ("cli.py", "barycentre_report"):
         "perfbench/tracing.py traces the name motline.cli.barycentre_report",
+    ("nested.py", "make_coupling"):
+        "perfbench/tracing.py traces the name motline.nested.make_coupling; "
+        "project_to_martingale builds its coupling through transport.grid_coupling",
 }
 
 
@@ -143,3 +147,46 @@ def test_checker_flags_an_unused_parameter(tmp_path):
                       "class K:\n    def _m(self, x):\n        return [x for _ in ()]\n"
                       "    def __init__(self, y):\n        pass\n")
     assert unused_parameters(source) == ["_f(b)", "_f(args)", "_f(kw)"]
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Names a file reads: bare names (string annotations included) and
+    attribute names, so a method counts as read wherever ``.name`` occurs."""
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return _used_names(tree) | attrs
+
+
+def unused_definitions(defining: list, reading: list) -> list:
+    """"file:name" for each function, class or method (not dunder) defined in
+    ``defining`` whose name no file in ``reading`` reads."""
+    read = set()
+    for path in reading:
+        read |= _read_names(ast.parse(path.read_text(encoding="utf-8")))
+    found = []
+    for path in defining:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and node.name not in read:
+                found.append(f"{path.name}:{node.name}")
+    return found
+
+
+def test_every_definition_is_read():
+    # a public name with no caller in the package, its tests or the
+    # benchmark is dead code
+    reading = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    assert unused_definitions(sorted(PACKAGE.glob("*.py")), reading) == []
+
+
+def test_checker_flags_an_unused_definition(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("def used():\n    return 1\n"
+                      "def dead():\n    return 2\n"
+                      "class K:\n    def __init__(self):\n        pass\n"
+                      "    def called(self):\n        return used()\n"
+                      "    def orphan(self) -> \"K\":\n        return self\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from sample import K\nK().called()\n")
+    assert unused_definitions([source], [source, reader]) == ["sample.py:dead", "sample.py:orphan"]

@@ -166,21 +166,25 @@ def test_pivot_counts_are_pinned(monkeypatch):
 
 def test_lps_without_a_start_are_unchanged(monkeypatch):
     # the competitor LPs take no start: their pivot paths, and so their
-    # optima, are the ones they had before any caller took a start
+    # optima, are the ones they had before any caller took a start.  The kappa
+    # competitor LP is over the stacked inner plans alone: n_src + k + m rows
+    # and n_src * k columns
     mu, nu = random_convex_pair(5, m=5, k=10)
     alpha = random_coupling(4, mu, nu)
-    spec = KappaSpec.from_coupling(random_coupling(5, mu, nu), lambda x1, x2, y2: abs(x2 - y2))
-    gammas = {x1: optimal_coupling_1d(spec.kernel(x1), kern)
-              for x1, _, kern in alpha.kernel_items()}
+    spec = KappaSpec(random_coupling(5, mu, nu), lambda x1, x2, y2: abs(x2 - y2))
+    gammas = [optimal_coupling_1d(spec.kernel(x1), kern)
+              for x1, _, kern in alpha.kernel_items()]
     calls = [(lambda: competitor_improve(alpha, CostSpec.absolute()),
               (26, 17), "0x1.495bffbd504b2p+1"),
              (lambda: kappa_competitor_improve(alpha, gammas, spec),
-              (163, 51), "0x1.afb8cbeff427ep+0")]
+              (69, 24), "0x1.afb8cbeff42a6p+0")]
     for call, pivots, objective in calls:
         lp, start = _built_lp(monkeypatch, mot, call)
         sol = solve_lp(lp)
         assert start is None
         assert (sol.pivots, sol.objective.hex()) == (pivots, objective)
+    n_src = sum(len(spec.kernel(x1)) for x1 in mu.atoms)
+    assert lp.a_eq.shape == (n_src + len(nu) + len(mu), n_src * len(nu)) == (40, 250)
 
 
 def _highs_value(lp):

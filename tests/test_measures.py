@@ -108,22 +108,21 @@ def test_check_dispersion_hoeffding_frechet():
 
 def test_hoeffding_frechet_quantile_pairing():
     pi = hoeffding_frechet(make_measure([0, 1], [0.5, 0.5]), make_measure([2, 3], [0.5, 0.5]))
-    assert pi.point_masses() == {(0.0, 2.0): 0.5, (1.0, 3.0): 0.5}
+    assert (pi.x1.tolist(), pi.x2.tolist(), pi.w.tolist()) == ([0.0, 1.0], [2.0, 3.0], [0.5, 0.5])
 
 
 def test_hoeffding_frechet_from_point_mass_is_product():
     nu = make_measure([-1, 0, 2], [0.2, 0.3, 0.5])
     pi = hoeffding_frechet(point_mass(0), nu)
-    assert pi.point_masses() == product_coupling(point_mass(0), nu).point_masses()
+    product = product_coupling(point_mass(0), nu)
+    for coords in ("x1", "x2", "w"):
+        assert np.array_equal(getattr(pi, coords), getattr(product, coords))
 
 
 def test_hoeffding_frechet_breakpoint_merge():
     pi = hoeffding_frechet(make_measure([0, 1], [0.25, 0.75]), make_measure([0, 2], [0.5, 0.5]))
-    expected = {(0.0, 0.0): 0.25, (1.0, 0.0): 0.25, (1.0, 2.0): 0.5}
-    got = pi.point_masses()
-    assert set(got) == set(expected)
-    for key, val in expected.items():
-        assert abs(got[key] - val) <= TOL
+    assert (pi.x1.tolist(), pi.x2.tolist()) == ([0.0, 1.0, 1.0], [0.0, 0.0, 2.0])
+    assert np.max(np.abs(pi.w - [0.25, 0.25, 0.5])) <= TOL
 
 
 def test_is_monotone_support():
@@ -169,14 +168,56 @@ def test_coupling_marginals_match_points():
 def test_coupling_kernel_reconstructs():
     for seed in range(10):
         pi = _random_pi(seed)
-        rebuilt = {}
-        for x1, weight, kernel in pi.kernel_items():
-            for b, v in zip(kernel.atoms, kernel.weights):
-                rebuilt[(x1, float(b))] = weight * v
-        original = pi.point_masses()
-        assert set(rebuilt) == set(original)
-        for key in original:
-            assert abs(rebuilt[key] - original[key]) <= 1e-14
+        x1, x2, w = [], [], []
+        for atom, weight, kernel in pi.kernel_items():
+            x1 += [atom] * len(kernel)
+            x2 += kernel.atoms.tolist()
+            w += (weight * kernel.weights).tolist()
+        assert (x1, x2) == (pi.x1.tolist(), pi.x2.tolist())
+        assert np.max(np.abs(np.array(w) - pi.w)) <= 1e-14
+
+
+def _mask_kernels(pi):
+    """Kernels built the way a float-keyed lookup used to build them: one
+    ``x1 == atom`` mask per first-marginal atom."""
+    mu = pi.first_marginal
+    return [(pi.x2[pi.x1 == atom], pi.w[pi.x1 == atom] / weight)
+            for atom, weight in zip(mu.atoms, mu.weights)]
+
+
+def _kernel_cases():
+    from motline import random_coupling
+
+    cases = [_random_pi(seed) for seed in range(12)]
+    cases += [example1_family1(n)[0] for n in (2, 3, 7)]
+    cases += [example1_family2(n)[0] for n in (1, 2, 4)]
+    # every coordinate split into a run of three values 6e-13 apart, which
+    # make_coupling merges into one atom
+    mu, nu = random_convex_pair(3, m=4, k=6)
+    base = random_coupling(4, mu, nu)
+    cases.append(make_coupling([(a + 6e-13 * s, b - 6e-13 * s, w / 3)
+                                for a, b, w in zip(base.x1, base.x2, base.w)
+                                for s in (-1, 0, 1)]))
+    assert len(cases[-1].first_marginal) == len(mu) and len(cases[-1]) == len(base)
+    return cases
+
+
+def test_kernels_by_position_match_masks():
+    for pi in _kernel_cases():
+        mu = pi.first_marginal
+        expected = _mask_kernels(pi)
+        assert len(pi.kernels) == len(expected) == len(mu)
+        items = pi.kernel_items()
+        for i, (atom, weight) in enumerate(zip(mu.atoms, mu.weights)):
+            x2, w = expected[i]
+            for kernel in (pi.kernels[i], pi.kernel(atom), pi.kernel(float(atom)), items[i][2]):
+                assert kernel.atoms.tobytes() == x2.tobytes()
+                assert kernel.weights.tobytes() == w.tobytes()
+            assert items[i][:2] == (float(atom), float(weight))
+        gaps = np.diff(mu.atoms) / 2 if len(mu) > 1 else np.array([0.5])
+        for x1 in (mu.atoms[0] - 1.0, mu.atoms[-1] + 1.0, mu.atoms[0] + gaps[0], np.nan):
+            with pytest.raises(InputError, match="not an atom of the first marginal"):
+                pi.kernel(x1)
 
 
 def test_make_coupling_rejects_bad_input():

@@ -49,7 +49,7 @@ def test_mot_solve_unique_coupling():
     nu = make_measure([-1, 1], [0.5, 0.5])
     value, plan = mot_solve(mu, nu, CostSpec.absolute())
     assert abs(value - 1.0) <= TOL
-    assert plan.point_masses().keys() == {(0.0, -1.0), (0.0, 1.0)}
+    assert (plan.x1.tolist(), plan.x2.tolist()) == ([0.0, 0.0], [-1.0, 1.0])
 
 
 def test_mot_solve_equal_marginals_forces_identity():
@@ -58,7 +58,8 @@ def test_mot_solve_equal_marginals_forces_identity():
         value, plan = mot_solve(mu, mu, cost)
         direct = float(np.dot(mu.weights, cost.evaluate(mu.atoms, mu.atoms)))
         assert abs(value - direct) <= TOL
-        assert plan.point_masses().keys() == identity_coupling(mu).point_masses().keys()
+        identity = identity_coupling(mu)
+        assert np.array_equal(plan.x1, identity.x1) and np.array_equal(plan.x2, identity.x2)
 
 
 def test_mot_solve_square_cost_is_second_moment_gap():
@@ -139,14 +140,14 @@ def test_kappa_objective_target_only_cost():
     pi = random_coupling(2, mu, nu)
     ref = random_coupling(3, mu, nu)
     cost = CostSpec.absolute()
-    spec = KappaSpec.from_coupling(ref, lambda x1, x2, y2: float(cost.evaluate(x1, y2)))
+    spec = KappaSpec(ref, lambda x1, x2, y2: float(cost.evaluate(x1, y2)))
     assert abs(kappa_objective(pi, spec) - coupling_cost(pi, lambda a, b: abs(b - a))) <= TOL
 
 
 def test_kappa_objective_own_kernel_is_zero():
     mu, nu = random_convex_pair(4, m=3, k=5)
     pi = random_coupling(5, mu, nu)
-    spec = KappaSpec.from_coupling(pi, lambda x1, x2, y2: abs(x2 - y2))
+    spec = KappaSpec(pi, lambda x1, x2, y2: abs(x2 - y2))
     assert kappa_objective(pi, spec) <= TOL
 
 
@@ -154,20 +155,19 @@ def test_kappa_objective_reference_kernel_distance():
     mu, nu = random_convex_pair(6, m=3, k=5)
     pi = random_coupling(7, mu, nu)
     ref = random_coupling(8, mu, nu)
-    spec = KappaSpec.from_coupling(ref, lambda x1, x2, y2: abs(x2 - y2))
+    spec = KappaSpec(ref, lambda x1, x2, y2: abs(x2 - y2))
     expected = 0.0
     from motline import w_p_1d
 
-    ref_kernels = {x: k for x, _, k in ref.kernel_items()}
     for x1, weight, kernel in pi.kernel_items():
-        expected += weight * w_p_1d(ref_kernels[x1], kernel, 1)
+        expected += weight * w_p_1d(ref.kernel(x1), kernel, 1)
     assert abs(kappa_objective(pi, spec) - expected) <= TOL
 
 
 def test_kappa_objective_missing_kernel_atom():
     mu, nu = random_convex_pair(9, m=3, k=5)
     pi = random_coupling(10, mu, nu)
-    spec = KappaSpec({0.123: point_mass(0.0)}, lambda x1, x2, y2: 0.0)
+    spec = KappaSpec(make_coupling([(0.123, 0.0, 1.0)]), lambda x1, x2, y2: 0.0)
     with pytest.raises(InputError):
         kappa_objective(pi, spec)
 
@@ -176,7 +176,7 @@ def test_kappa_bruteforce_target_only_matches_mot():
     mu, nu = random_convex_pair(11, m=3, k=4, radius=4.0)
     ref = random_coupling(12, mu, nu)
     cost = CostSpec.absolute()
-    spec = KappaSpec.from_coupling(ref, lambda x1, x2, y2: float(cost.evaluate(x1, y2)))
+    spec = KappaSpec(ref, lambda x1, x2, y2: float(cost.evaluate(x1, y2)))
     value, _ = kappa_solve_bruteforce(spec, mu, nu)
     direct, _ = mot_solve(mu, nu, cost)
     assert abs(value - direct) <= TOL
@@ -185,16 +185,16 @@ def test_kappa_bruteforce_target_only_matches_mot():
 def test_kappa_bruteforce_singleton_mu():
     mu = point_mass(0)
     nu = make_measure([-1, 1], [0.5, 0.5])
-    spec = KappaSpec({0.0: nu}, lambda x1, x2, y2: abs(x2 - y2))
+    spec = KappaSpec(make_coupling([(0, -1, 0.5), (0, 1, 0.5)]), lambda x1, x2, y2: abs(x2 - y2))
     value, plan = kappa_solve_bruteforce(spec, mu, nu)
     assert value <= TOL
-    assert plan.point_masses().keys() == {(0.0, -1.0), (0.0, 1.0)}
+    assert (plan.x1.tolist(), plan.x2.tolist()) == ([0.0, 0.0], [-1.0, 1.0])
 
 
 def test_kappa_bruteforce_attains_zero_at_reference_martingale():
     mu, nu = random_convex_pair(13, m=3, k=4, radius=4.0)
     _, mart = mot_solve(mu, nu, CostSpec.absolute())
-    spec = KappaSpec.from_coupling(mart, lambda x1, x2, y2: abs(x2 - y2))
+    spec = KappaSpec(mart, lambda x1, x2, y2: abs(x2 - y2))
     value, plan = kappa_solve_bruteforce(spec, mu, nu)
     assert value <= TOL
     assert kappa_objective(plan, spec) <= TOL
@@ -202,7 +202,7 @@ def test_kappa_bruteforce_attains_zero_at_reference_martingale():
 
 def test_kappa_bruteforce_size_guard():
     mu, nu = random_convex_pair(14, m=5, k=7)
-    spec = KappaSpec.from_coupling(random_coupling(15, mu, nu), lambda x1, x2, y2: 0.0)
+    spec = KappaSpec(random_coupling(15, mu, nu), lambda x1, x2, y2: 0.0)
     with pytest.raises(SizeGuardError):
         kappa_solve_bruteforce(spec, mu, nu)
 
@@ -288,9 +288,9 @@ def test_kappa_competitor_reduces_to_plain_competitor():
     alpha = random_coupling(43, mu, nu)
     cost = CostSpec.absolute()
     ref = random_coupling(44, mu, nu)
-    spec = KappaSpec.from_coupling(ref, lambda x1, x2, y2: float(cost.evaluate(x1, y2)))
-    gammas = {x1: optimal_coupling_1d(spec.kernel(x1), kern)
-              for x1, _, kern in alpha.kernel_items()}
+    spec = KappaSpec(ref, lambda x1, x2, y2: float(cost.evaluate(x1, y2)))
+    gammas = [optimal_coupling_1d(spec.kernel(x1), kern)
+              for x1, _, kern in alpha.kernel_items()]
     out = kappa_competitor_improve(alpha, gammas, spec)
     plain = competitor_improve(alpha, cost)
     assert (out is None) == (plain is None)
@@ -303,21 +303,95 @@ def test_kappa_competitor_reduces_to_plain_competitor():
 def test_kappa_competitor_zero_value_is_minimal():
     mu, nu = random_convex_pair(45, m=3, k=4)
     alpha = random_coupling(46, mu, nu)
-    spec = KappaSpec.from_coupling(alpha, lambda x1, x2, y2: abs(x2 - y2))
-    gammas = {x1: optimal_coupling_1d(spec.kernel(x1), kern)
-              for x1, _, kern in alpha.kernel_items()}
+    spec = KappaSpec(alpha, lambda x1, x2, y2: abs(x2 - y2))
+    gammas = [optimal_coupling_1d(spec.kernel(x1), kern)
+              for x1, _, kern in alpha.kernel_items()]
     assert kappa_competitor_improve(alpha, gammas, spec) is None
+
+
+def _plan_cost(spec, x1, plan):
+    chat = [[spec.chat(x1, a, b) for b in plan.target.atoms] for a in plan.source.atoms]
+    return float(np.sum(plan.matrix * np.array(chat)))
+
+
+KAPPA_CHATS = [lambda x1, x2, y2: abs(x2 - y2),
+               lambda x1, x2, y2: abs(y2 - x1) + 0.5 * abs(x2 - y2)]
+
+
+def test_kappa_competitor_plans_price_the_competitor():
+    improved = 0
+    for seed in range(24):
+        m = 2 + seed % 4
+        mu, nu = random_convex_pair(300 + seed, m=m, k=m + 2 + seed % 3, radius=4.0)
+        alpha = random_coupling(400 + seed, mu, nu)
+        spec = KappaSpec(random_coupling(500 + seed, mu, nu), KAPPA_CHATS[seed % 2])
+        gammas = [optimal_coupling_1d(spec.kernel(x1), kern)
+                  for x1, _, kern in alpha.kernel_items()]
+        current = sum(w * _plan_cost(spec, x1, plan)
+                      for (x1, w, _), plan in zip(alpha.kernel_items(), gammas))
+        out = kappa_competitor_improve(alpha, gammas, spec)
+        if out is None:
+            continue
+        improved += 1
+        competitor, plans = out
+        # one plan per first-marginal atom, in order, coupling the reference
+        # kernel with the competitor's kernel, and priced at the objective
+        assert len(plans) == m
+        priced = 0.0
+        for (x1, w, kernel), plan in zip(competitor.kernel_items(), plans):
+            for law, expected in ((plan.source, spec.kernel(x1)), (plan.target, kernel)):
+                assert np.array_equal(law.atoms, expected.atoms)
+                assert np.array_equal(law.weights, expected.weights)
+            priced += w * _plan_cost(spec, x1, plan)
+        value = kappa_objective(competitor, spec)
+        assert priced == pytest.approx(value, rel=1e-12, abs=1e-12)
+        assert value < current - 1e-7
+        # the competitor keeps alpha's marginals and row barycentres
+        for old, new in ((alpha.first_marginal, competitor.first_marginal),
+                         (alpha.second_marginal, competitor.second_marginal)):
+            assert np.array_equal(old.atoms, new.atoms)
+            assert np.max(np.abs(old.weights - new.weights)) <= 1e-9
+        for before, after in zip(alpha.kernels, competitor.kernels):
+            assert abs(before.mean - after.mean) <= 1e-9
+    assert improved >= 20
+
+
+def test_kappa_competitor_rejects_competitor_that_loses_an_atom(monkeypatch):
+    import motline.mot as mot
+
+    original = mot.grid_coupling
+
+    def merge_first_row(mu, nu, masses, drop):
+        masses = masses.copy()
+        masses[1] += masses[0]
+        masses[0] = 0.0
+        return original(mu, nu, masses, drop)
+
+    mu, nu = random_convex_pair(301, m=3, k=6, radius=4.0)
+    alpha = random_coupling(401, mu, nu)
+    spec = KappaSpec(random_coupling(501, mu, nu), KAPPA_CHATS[1])
+    gammas = [optimal_coupling_1d(spec.kernel(x1), kern)
+              for x1, _, kern in alpha.kernel_items()]
+    assert kappa_competitor_improve(alpha, gammas, spec) is not None
+    monkeypatch.setattr(mot, "grid_coupling", merge_first_row)
+    with pytest.raises(InternalError, match="first marginal"):
+        kappa_competitor_improve(alpha, gammas, spec)
 
 
 def test_kappa_competitor_rejects_mismatched_plans():
     mu, nu = random_convex_pair(47, m=2, k=3)
     alpha = random_coupling(48, mu, nu)
     other = random_coupling(49, mu, nu)
-    spec = KappaSpec.from_coupling(alpha, lambda x1, x2, y2: abs(x2 - y2))
-    bad = {x1: optimal_coupling_1d(spec.kernel(x1), kern)
-           for x1, _, kern in other.kernel_items()}
+    spec = KappaSpec(alpha, lambda x1, x2, y2: abs(x2 - y2))
+    bad = [optimal_coupling_1d(spec.kernel(x1), kern)
+           for x1, _, kern in other.kernel_items()]
     with pytest.raises(InputError):
         kappa_competitor_improve(alpha, bad, spec)
+    good = [optimal_coupling_1d(spec.kernel(x1), kern)
+            for x1, _, kern in alpha.kernel_items()]
+    for wrong_length in (good[:-1], good + good[:1]):
+        with pytest.raises(InputError, match="one per first-marginal atom"):
+            kappa_competitor_improve(alpha, wrong_length, spec)
 
 
 def _competitor_system(alpha):
@@ -381,9 +455,9 @@ def test_kappa_competitor_agrees_with_vertex_search():
     mu, nu = random_convex_pair(50, m=2, k=3, radius=3.0)
     alpha = random_coupling(51, mu, nu)
     ref = random_coupling(52, mu, nu)
-    spec = KappaSpec.from_coupling(ref, lambda x1, x2, y2: abs(x2 - y2))
-    gammas = {x1: optimal_coupling_1d(spec.kernel(x1), kern)
-              for x1, _, kern in alpha.kernel_items()}
+    spec = KappaSpec(ref, lambda x1, x2, y2: abs(x2 - y2))
+    gammas = [optimal_coupling_1d(spec.kernel(x1), kern)
+              for x1, _, kern in alpha.kernel_items()]
     current = kappa_objective(alpha, spec)
     out = kappa_competitor_improve(alpha, gammas, spec, tol=1e-12)
     achieved = current if out is None else kappa_objective(out[0], spec)
@@ -692,9 +766,9 @@ def _row_checked_args(caller):
     alpha = random_coupling(4, mu, nu)  # several points per x1, so the LP is built
     if caller == "competitor_improve":
         return alpha, CostSpec.absolute()
-    spec = KappaSpec.from_coupling(random_coupling(5, mu, nu), lambda x1, x2, y2: abs(x2 - y2))
-    gammas = {x1: optimal_coupling_1d(spec.kernel(x1), kern)
-              for x1, _, kern in alpha.kernel_items()}
+    spec = KappaSpec(random_coupling(5, mu, nu), lambda x1, x2, y2: abs(x2 - y2))
+    gammas = [optimal_coupling_1d(spec.kernel(x1), kern)
+              for x1, _, kern in alpha.kernel_items()]
     return alpha, gammas, spec
 
 

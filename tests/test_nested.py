@@ -96,9 +96,9 @@ def test_project_martingale_input_is_fixed_point():
     pi = make_coupling([(0, -1, 0.25), (0, 1, 0.25), (2, 1, 0.25), (2, 3, 0.25)])
     result = project_to_martingale(pi)
     assert result.value <= TOL
-    assert result.projected.point_masses().keys() == pi.point_masses().keys()
-    for key, val in pi.point_masses().items():
-        assert abs(result.projected.point_masses()[key] - val) <= 1e-8
+    projected = result.projected
+    assert np.array_equal(projected.x1, pi.x1) and np.array_equal(projected.x2, pi.x2)
+    assert np.max(np.abs(projected.w - pi.w)) <= 1e-8
 
 
 def test_project_family_values(family1, family2):
