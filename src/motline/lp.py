@@ -76,14 +76,19 @@ class LinearProgram:
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     """``pivots`` counts the pivots of phase 1 (including those that drive
-    leftover artificials out of the basis) and of phase 2; for a fixed program
-    and start they are reproducible, like the solution."""
+    leftover artificials out of the basis) and of phase 2; ``rebuilds``
+    counts the tableaus rebuilt from the original rows after phase 1 (0 or
+    1) and in the phase-2 refinement; ``dropped_rows`` counts the rows found
+    dependent, by the rank pass or when phase 1 drives out the artificials.
+    For a fixed program and start they are reproducible, like the solution."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]
     objective: Optional[float]
     max_violation: float = 0.0
     pivots: tuple = (0, 0)
+    rebuilds: tuple = (0, 0)
+    dropped_rows: int = 0
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -160,37 +165,49 @@ def _set_objective_row(tableau: np.ndarray, basis: np.ndarray, costs: np.ndarray
 
 
 def _independent_rows(a: np.ndarray, b: np.ndarray):
-    """Gaussian elimination over the rows of [a | b].
+    """Gaussian elimination over the rows of [a | b] that share all their
+    columns.
 
     Returns (kept row indices, None) or (None, violation) when a dependent
     row's right-hand side is inconsistent with the rows it depends on, which
     certifies infeasibility.  Dependent rows carry no information beyond their
     consistency, and keeping them lets simplex pivots corrupt the basis.
+
+    A column is private to a row when that row holds its only nonzero (a
+    slack, an epigraph variable).  No combination of other rows produces a
+    row with a private column, and no combination that produces another row
+    can use it, so such rows are kept as they are and the elimination runs
+    over the other rows alone, in their order.  In exact arithmetic this
+    keeps the rows, and reaches the verdict, of an elimination over all rows.
     """
-    m, n = a.shape
-    work = np.column_stack([a, b]).astype(float)
+    nonzero = a != 0.0
+    private = np.zeros(a.shape[0], dtype=bool)
+    private[np.argmax(nonzero[:, nonzero.sum(axis=0) == 1], axis=0)] = True
+    shared = np.flatnonzero(~private)
+    cols = np.flatnonzero(nonzero[shared].any(axis=0))
+    n = cols.size
+    work = np.column_stack([a[np.ix_(shared, cols)], b[shared]])
     reduced_rows = []
     pivot_cols = []
-    kept = []
+    kept = np.flatnonzero(private).tolist()
     worst = 0.0
-    for i in range(m):
-        row = work[i].copy()
+    for i, row in zip(shared, work):
+        row_scale = 1.0 + float(np.max(np.abs(row[:n]), initial=0.0))
         for r, pc in zip(reduced_rows, pivot_cols):
             factor = row[pc]
             if factor != 0.0:
                 row -= factor * r
-        row_scale = 1.0 + float(np.max(np.abs(a[i]))) if n else 1.0
-        mag = float(np.max(np.abs(row[:n]))) if n else 0.0
+        mag = float(np.max(np.abs(row[:n]), initial=0.0))
         if mag > 1e-10 * row_scale:
             pc = int(np.argmax(np.abs(row[:n])))
             reduced_rows.append(row / row[pc])
             pivot_cols.append(pc)
-            kept.append(i)
+            kept.append(int(i))
         else:
             worst = max(worst, abs(float(row[n])))
     if worst > FEAS_TOL * (1.0 + float(np.max(np.abs(b))) if b.size else 1.0):
         return None, worst
-    return kept, None
+    return sorted(kept), None
 
 
 def _first_tableau(a: np.ndarray, b: np.ndarray, first: np.ndarray):
@@ -241,6 +258,15 @@ def _warm_start(tableau: np.ndarray, basis: np.ndarray, a: np.ndarray, b: np.nda
     return True
 
 
+def _basis_solve(basis_cols: np.ndarray, rhs: np.ndarray, phase: str) -> np.ndarray:
+    """LU solve with a basis matrix, which is square and nonsingular once the
+    rank pass has dropped the dependent rows: a singular one is a defect."""
+    try:
+        return np.linalg.solve(basis_cols, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise InternalError(f"{phase} basis is singular") from exc
+
+
 def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
     """Solve the program, returning an optimal basic solution when one exists.
 
@@ -267,7 +293,7 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
     b_ub = np.concatenate(b_ub_rows) if b_ub_rows else np.zeros(0)
 
     m_eq, m_ub = lp.a_eq.shape[0], a_ub.shape[0]
-    m = m_eq + m_ub
+    m = m_rows = m_eq + m_ub
     n_slack = m_ub
     if start is not None:
         start = np.asarray(start, dtype=int).ravel()
@@ -316,7 +342,7 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
     n_art = art_rows.size
     total = n + n_slack + n_art
 
-    pivots1 = 0
+    pivots1 = rebuild1 = 0
     if n_art:
         allowed = np.ones(total, dtype=bool)
         allowed[n + n_slack :] = False  # artificials never re-enter
@@ -328,7 +354,7 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
             raise InternalError("phase-1 simplex cannot be unbounded")
         if -tableau[-1, -1] > FEAS_TOL:
             return LpSolution("infeasible", None, None, max_violation=float(-tableau[-1, -1]),
-                              pivots=(pivots1, 0))
+                              pivots=(pivots1, 0), dropped_rows=m_rows - m)
         if np.any(basis >= n + n_slack):
             # rebuild the tableau exactly from the terminal basis: the pivoted
             # rows drift, and redundancy decisions must not be made on noise
@@ -336,7 +362,8 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
             ext[:, : n + n_slack] = a
             for k, i in enumerate(art_rows):
                 ext[i, n + n_slack + k] = 1.0
-            fresh = np.linalg.lstsq(ext[:, basis], np.column_stack([ext, b]), rcond=None)[0]
+            fresh = _basis_solve(ext[:, basis], np.column_stack([ext, b]), "phase-1 rebuild")
+            rebuild1 = 1
             tableau = np.zeros((m + 1, total + 1))
             tableau[:m] = fresh
             tableau[np.arange(m), basis] = 1.0
@@ -370,16 +397,19 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
     scale = 1.0 + float(np.max(np.abs(costs)))
     x_std = None
     seen = set()
-    pivots2 = 0
+    pivots2 = rebuild2 = 0
     for _ in range(8):
         _set_objective_row(tableau, basis, costs)
         status, run = _run_simplex(tableau, basis, allowed)
         pivots2 += run
         if status == "unbounded":
-            return LpSolution("unbounded", None, None, pivots=(pivots1, pivots2))
+            return LpSolution("unbounded", None, None, pivots=(pivots1, pivots2),
+                              rebuilds=(rebuild1, rebuild2), dropped_rows=m_rows - m_kept)
         basis_cols = a[:, basis]
+        # least squares gives the returned point; the dual and the rebuilds
+        # only steer the simplex, and LU solves serve them
         xb, *_ = np.linalg.lstsq(basis_cols, b, rcond=None)
-        dual, *_ = np.linalg.lstsq(basis_cols.T, costs[basis], rcond=None)
+        dual = _basis_solve(basis_cols.T, costs[basis], "phase-2 dual")
         reduced = costs - dual @ a
         x_std = np.zeros(n + n_slack)
         x_std[basis] = np.maximum(xb, 0.0)
@@ -390,7 +420,8 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
         if key in seen:
             break  # tableau and exact view disagree within noise; keep exact
         seen.add(key)
-        fresh = np.linalg.lstsq(basis_cols, np.column_stack([a, b]), rcond=None)[0]
+        fresh = _basis_solve(basis_cols, np.column_stack([a, b]), "phase-2 rebuild")
+        rebuild2 += 1
         tableau = np.zeros((m_kept + 1, n + n_slack + 1))
         tableau[:m_kept] = fresh
         tableau[np.arange(m_kept), basis] = 1.0
@@ -409,7 +440,8 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
     if np.any(finite):
         violation = max(violation, float(np.max(np.maximum(x[finite] - lp.upper[finite], 0.0))))
     return LpSolution("optimal", x, objective, max_violation=violation,
-                      pivots=(pivots1, pivots2))
+                      pivots=(pivots1, pivots2), rebuilds=(rebuild1, rebuild2),
+                      dropped_rows=m_rows - m_kept)
 
 
 def check_point(sol: LpSolution, name: str, row_scale: float = 1.0) -> None:

@@ -3,17 +3,20 @@ import random
 import numpy as np
 import pytest
 
+import motline.lp as lp_module
 import motline.mot as mot
 import motline.nested as nested
 import motline.transport as transport
 from motline import (
     CostSpec,
     InputError,
+    InternalError,
     KappaSpec,
     LinearProgram,
     competitor_improve,
     kappa_competitor_improve,
     make_coupling,
+    monotonicity_check,
     mot_solve,
     optimal_coupling_1d,
     penalized_ot,
@@ -24,7 +27,9 @@ from motline import (
     solve_transport,
     strassen_feasible,
 )
-from motline.lp import FEAS_TOL
+from motline.cli import main
+from motline.jsonio import save
+from motline.lp import FEAS_TOL, _independent_rows
 from motline.transport import grid_rows, north_west_start
 
 from conftest import transport_bruteforce, transport_system
@@ -146,22 +151,30 @@ def test_pivot_counts_are_pinned(monkeypatch):
     # simplex, or a program or start handed to it, changes.  Each program is
     # solved cold and from its caller's start: the transport and penalized
     # LPs start complete and feasible, and phase 1 of the martingale and
-    # projection LPs repairs only the martingale rows
+    # projection LPs repairs only the martingale rows.  Each count is
+    # (pivots, rebuilds, dropped rows): the marginal rows of a grid hold one
+    # dependent row, the martingale rows one more
     rng = np.random.default_rng(6)
     cost, sw, tw = rng.random((6, 6)), rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
     mu, nu = random_convex_pair(5, m=5, k=10)
     pi = random_coupling(6, mu, nu, blend=3)
     calls = {
-        "transport": (transport, lambda: solve_transport(cost, sw, tw), (17, 11), (0, 9)),
-        "mot_solve": (mot, lambda: mot_solve(mu, nu, CostSpec.absolute()), (31, 9), (6, 7)),
-        "strassen": (mot, lambda: strassen_feasible(mu, nu), (31, 0), (6, 0)),
+        "transport": (transport, lambda: solve_transport(cost, sw, tw),
+                      ((17, 11), (0, 0), 1), ((0, 9), (0, 0), 1)),
+        "mot_solve": (mot, lambda: mot_solve(mu, nu, CostSpec.absolute()),
+                      ((31, 9), (0, 0), 2), ((6, 7), (0, 0), 2)),
+        "strassen": (mot, lambda: strassen_feasible(mu, nu),
+                     ((31, 0), (0, 0), 2), ((6, 0), (0, 0), 2)),
         "penalized": (mot, lambda: penalized_ot(mu, nu, CostSpec.absolute(), 1.0),
-                      (34, 17), (0, 8)),
-        "projection": (nested, lambda: project_to_martingale(pi), (119, 7), (17, 22)),
+                      ((34, 18), (1, 0), 1), ((0, 8), (0, 0), 1)),
+        "projection": (nested, lambda: project_to_martingale(pi),
+                       ((119, 7), (0, 0), 2), ((17, 22), (0, 0), 2)),
     }
     for name, (module, call, cold, warm) in calls.items():
         lp, start = _built_lp(monkeypatch, module, call)
-        assert (solve_lp(lp).pivots, solve_lp(lp, start=start).pivots) == (cold, warm), name
+        counts = [(sol.pivots, sol.rebuilds, sol.dropped_rows)
+                  for sol in (solve_lp(lp), solve_lp(lp, start=start))]
+        assert counts == [cold, warm], name
 
 
 def test_lps_without_a_start_are_unchanged(monkeypatch):
@@ -287,3 +300,149 @@ def test_rejects_malformed_start():
     for start in ([0, 1], [2], [-2]):
         with pytest.raises(InputError):
             solve_lp(lp, start=start)
+
+
+def _full_elimination(a, b):
+    """Gaussian elimination over every row of [a | b], in order, rows with a
+    private column included: the reference for ``_independent_rows``."""
+    m, n = a.shape
+    work = np.column_stack([a, b]).astype(float)
+    reduced_rows, pivot_cols, kept, worst = [], [], [], 0.0
+    for i in range(m):
+        row = work[i].copy()
+        for r, pc in zip(reduced_rows, pivot_cols):
+            if row[pc] != 0.0:
+                row -= row[pc] * r
+        if np.max(np.abs(row[:n])) > 1e-10 * (1.0 + np.max(np.abs(a[i]))):
+            pc = int(np.argmax(np.abs(row[:n])))
+            reduced_rows.append(row / row[pc])
+            pivot_cols.append(pc)
+            kept.append(i)
+        else:
+            worst = max(worst, abs(float(row[n])))
+    if worst > FEAS_TOL * (1.0 + float(np.max(np.abs(b)))):
+        return None, worst
+    return kept, None
+
+
+def _assert_rank_pass_matches(a, b):
+    kept, inconsistency = _independent_rows(a, b)
+    ref_kept, ref_inconsistency = _full_elimination(a, b)
+    assert kept == ref_kept
+    assert (inconsistency is None) == (ref_inconsistency is None)
+
+
+@pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+def test_rank_pass_matches_full_elimination_on_caller_lps(monkeypatch, radius):
+    programs = []
+
+    def record(a, b):
+        programs.append((a.copy(), b.copy()))
+        return _independent_rows(a, b)
+
+    monkeypatch.setattr(lp_module, "_independent_rows", record)
+    for seed in range(4):
+        m = 3 + seed
+        mu, nu = random_convex_pair(seed, m=m, k=2 * m, radius=radius)
+        solve_transport(np.sqrt(np.abs(mu.atoms[:, None] - nu.atoms[None, :])),
+                        mu.weights, nu.weights)
+        mot_solve(mu, nu, CostSpec.absolute())
+        strassen_feasible(mu, nu)
+        penalized_ot(mu, nu, CostSpec.absolute(), 1.0)
+        project_to_martingale(random_coupling(seed + 20, mu, nu))
+        competitor_improve(random_coupling(seed + 40, mu, nu), CostSpec.absolute())
+    assert len(programs) >= 24
+    for a, b in programs:
+        _assert_rank_pass_matches(a, b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_pass_matches_full_elimination_on_planted_rows(seed):
+    rng = np.random.default_rng(seed)
+    m, n = 8 + seed, 14 + 2 * seed
+    base = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.3)
+    b = base @ rng.random(n)
+    rows, rhs, planted = list(base), list(b), []
+    for _ in range(4):
+        i, j = rng.choice(m, size=2, replace=False)
+        c1, c2 = rng.uniform(-2.0, 2.0, size=2)
+        at = int(rng.integers(0, len(rows) + 1))
+        rows.insert(at, c1 * base[i] + c2 * base[j])
+        rhs.insert(at, c1 * b[i] + c2 * b[j])
+        planted = [k + (k >= at) for k in planted] + [at]
+    a, consistent = np.array(rows), np.array(rhs)
+    # the last planted row made inconsistent with the rows it depends on
+    inconsistent = consistent.copy()
+    inconsistent[planted[-1]] += 1.0
+    with_slacks = np.hstack([a, np.eye(len(rows))[:, rng.random(len(rows)) < 0.4]])
+    for program in (a, with_slacks):
+        for b in (consistent, inconsistent):
+            _assert_rank_pass_matches(program, b)
+    assert len(_independent_rows(a, consistent)[0]) <= len(rows) - 4
+    assert _independent_rows(a, inconsistent)[0] is None
+
+
+def test_rank_pass_on_zero_rows_and_private_columns():
+    a, b = transport_system([0.3, 0.7], [0.2, 0.5, 0.3])
+    zero = np.vstack([a, np.zeros(a.shape[1])])
+    # an all-zero row is infeasible when b != 0 and dropped when b == 0
+    assert _independent_rows(zero, np.r_[b, 0.5])[0] is None
+    assert _independent_rows(zero, np.r_[b, 0.0])[0] == [0, 1, 2, 3]
+    _assert_rank_pass_matches(zero, np.r_[b, 0.5])
+    # no row of a transportation system has a private column
+    _assert_rank_pass_matches(a, b)
+    # every row has a private column: all are kept, even duplicates on the
+    # other columns
+    private = np.hstack([np.vstack([a, a]), np.eye(2 * a.shape[0])])
+    assert _independent_rows(private, np.r_[b, b])[0] == list(range(10))
+    _assert_rank_pass_matches(private, np.r_[b, b])
+
+
+def test_singular_basis_raises_internal_error(monkeypatch, tmp_path, capsys):
+    # the cold penalized LP ends phase 1 with an artificial in its basis, so
+    # it rebuilds its tableau; a singular basis there is a defect, not a
+    # reason to fall back to least squares
+    mu, nu = random_convex_pair(5, m=5, k=10)
+    lp, _ = _built_lp(monkeypatch, mot, lambda: penalized_ot(mu, nu, CostSpec.absolute(), 1.0))
+    assert solve_lp(lp).rebuilds == (1, 0)
+    files = []
+    for name, measure in (("mu", mu), ("nu", nu)):
+        files.append(str(tmp_path / f"{name}.json"))
+        save(files[-1], {"atoms": measure.atoms.tolist(), "weights": measure.weights.tolist()})
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(InternalError, match="phase-1 rebuild basis is singular"):
+        solve_lp(lp)
+    # the CLI's start needs a solve too, so it falls back to the cold start
+    assert main(["mot", "penalized", *files]) == 4
+    assert "phase-1 rebuild basis is singular" in capsys.readouterr().err
+
+
+def test_values_match_highs_through_the_rebuilds(monkeypatch):
+    # the rebuilds only steer the simplex: every value they lead to is
+    # HiGHS's, on competitor, martingale and penalized LPs, including the
+    # wide penalized LP whose phase-2 refinement rebuilds its tableau
+    solved = []
+    original = mot.solve_lp
+
+    def against_highs(lp, start=None):
+        sol = original(lp, start=start)
+        assert sol.objective == pytest.approx(_highs_value(lp), rel=1e-9, abs=1e-12)
+        solved.append(sol)
+        return sol
+
+    monkeypatch.setattr(mot, "solve_lp", against_highs)
+    cost = CostSpec.absolute()
+    for seed in range(8):
+        m = 3 + seed % 6
+        mu, nu = random_convex_pair(seed, m=m, k=2 * m)
+        _, optimizer = mot_solve(mu, nu, cost)
+        penalized_ot(mu, nu, cost, 1.0)
+        monotonicity_check(optimizer, cost, 10, 4, seed)
+    mu, nu = random_convex_pair(8, m=4, k=8, radius=1e4)
+    penalized_ot(mu, nu, cost, 1.0)
+    assert sum(sol.rebuilds[0] for sol in solved) >= 5
+    assert sum(sol.rebuilds[1] > 0 for sol in solved) >= 1

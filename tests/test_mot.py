@@ -875,6 +875,23 @@ def test_penalized_row_check_scales_with_the_atoms(seed):
     assert penalized_ot(mu, nu, CostSpec.absolute(), 1.0) == pytest.approx(value, rel=1e-9)
 
 
+# (radius, seed) of random_convex_pair(seed, m, 2m, radius), m = 4 + seed % 8
+# at 1e4 and 3 + seed % 8 at 1e5, on which penalized_ot raised "penalized LP
+# point breaks its rows by" 25.9 to 5.2e3: once the phase-2 refinement had
+# rebuilt its tableau by least squares, the simplex went on to bases of
+# condition 5e16 to 6e22.  Rebuilt by LU solves, no basis passes 4e11
+PENALIZED_ILL_CONDITIONED = [(1e4, 8), (1e4, 12), (1e4, 53), (1e4, 96),
+                             (1e5, 1), (1e5, 2), (1e5, 10), (1e5, 16), (1e5, 25)]
+
+
+@pytest.mark.parametrize("radius, seed", PENALIZED_ILL_CONDITIONED)
+def test_penalized_ot_survives_ill_conditioned_bases(radius, seed):
+    m = (4 if radius == 1e4 else 3) + seed % 8
+    mu, nu = random_convex_pair(seed, m, 2 * m, radius=radius)
+    value, _ = mot_solve(mu, nu, CostSpec.absolute())
+    assert penalized_ot(mu, nu, CostSpec.absolute(), 1.0) == pytest.approx(value, rel=1e-9)
+
+
 def test_monotonicity_check_takes_a_matrix_cost():
     # an uncertified sample used to raise "cost matrix shape does not match
     # the supports": the matrix is over pi's grid, the sample's LP over its own
