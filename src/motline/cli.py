@@ -365,19 +365,13 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (InputError, SizeGuardError) as exc:  # ParseError is an InputError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConvexOrderError,) as exc:
+    except ConvexOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (InputError, SizeGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InternalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except MotlineError as exc:  # pragma: no cover - safety net
+    except MotlineError as exc:  # InternalError, a breached invariant
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

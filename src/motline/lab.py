@@ -251,7 +251,7 @@ def projection_stability(pi: DiscreteCoupling, scales: Sequence[float],
                              "epsilon": float("nan"), "projection": float("nan"),
                              "delta": float("nan"), "ok": False})
                 continue
-        pi_h = adapt_marginals(pi, mu_h, nu_h, p=1.0)
+        pi_h = adapt_marginals(pi, mu_h, nu_h)
         eps_h = nd_lower_bound(pi_h)
         proj_h = project_to_martingale(pi_h).value
         if eps_h > proj_h + 1e-9:

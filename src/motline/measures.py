@@ -247,7 +247,7 @@ class BarycentreReport:
     """Per-atom conditional-mean deviations of a coupling and their classes.
 
     ``deviations[i]`` is the kernel barycentre shift at ``atoms[i]``; atoms are
-    split into plus/zero/minus classes by comparing against ``tol``.
+    split into plus/zero/minus classes by comparing against ``tol_mart``.
     ``epsilon`` is the mu-weighted absolute total deviation.
     """
 
@@ -258,7 +258,6 @@ class BarycentreReport:
     plus: tuple
     zero: tuple
     minus: tuple
-    tol: float
 
     def deviation(self, x1: float) -> float:
         idx = np.searchsorted(self.atoms, x1)
@@ -277,7 +276,7 @@ def barycentre_report(pi: DiscreteCoupling, tol_mart: float = DEFAULT_TOL_MART) 
     plus = tuple(float(a) for a, d in zip(atoms, deviations) if d > tol_mart)
     minus = tuple(float(a) for a, d in zip(atoms, deviations) if d < -tol_mart)
     zero = tuple(float(a) for a, d in zip(atoms, deviations) if abs(d) <= tol_mart)
-    return BarycentreReport(atoms, deviations, weighted, epsilon, plus, zero, minus, tol_mart)
+    return BarycentreReport(atoms, deviations, weighted, epsilon, plus, zero, minus)
 
 
 def is_martingale(pi: DiscreteCoupling, tol_mart: float = DEFAULT_TOL_MART) -> bool:

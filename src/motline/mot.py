@@ -36,19 +36,18 @@ class CostSpec:
     strike: float = 0.0
     terms: tuple = ()
     values: Optional[np.ndarray] = None
-    lipschitz: Optional[float] = None
 
     @classmethod
-    def absolute(cls, lipschitz: float = 1.0) -> "CostSpec":
-        return cls("abs", lipschitz=lipschitz)
+    def absolute(cls) -> "CostSpec":
+        return cls("abs")
 
     @classmethod
     def squared(cls) -> "CostSpec":
         return cls("square")
 
     @classmethod
-    def call(cls, strike: float, lipschitz: float = 1.0) -> "CostSpec":
-        return cls("call", strike=float(strike), lipschitz=lipschitz)
+    def call(cls, strike: float) -> "CostSpec":
+        return cls("call", strike=float(strike))
 
     @classmethod
     def polynomial(cls, terms: Sequence[Sequence[float]]) -> "CostSpec":
@@ -56,11 +55,11 @@ class CostSpec:
         return cls("poly", terms=clean)
 
     @classmethod
-    def from_matrix(cls, values, lipschitz: Optional[float] = None) -> "CostSpec":
+    def from_matrix(cls, values) -> "CostSpec":
         m = np.asarray(values, dtype=float)
         if m.ndim != 2 or not np.all(np.isfinite(m)):
             raise InputError("cost matrix must be a finite 2-D array")
-        return cls("matrix", values=m, lipschitz=lipschitz)
+        return cls("matrix", values=m)
 
     def evaluate(self, x1, x2):
         if self.kind == "abs":
@@ -146,30 +145,33 @@ def penalized_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, L: fl
     no pivot.
     """
     m, k = len(mu), len(nu)
-    n_pi = m * k  # then one epigraph variable t_i per first-marginal atom
+    n_pi = m * k  # then one epigraph variable t_i per first-marginal atom, then 3m slacks
     gaps = nu.atoms[None, :] - mu.atoms[:, None]
     rows = grid_rows(m, k, [gaps, -gaps])
-    a_eq = np.zeros((m + k, n_pi + m))
-    a_eq[:, :n_pi] = rows[: m + k]
-    a_ub = np.zeros((3 * m, n_pi + m))
+    a = np.zeros((m + k + 3 * m, n_pi + 4 * m))
+    a[: m + k, :n_pi] = rows[: m + k]
+    ineq = a[m + k :]  # the 3m inequality rows, each with its own slack
     # upper-tail dispersion at each atom of mu: minus the deviation of rows >= i
-    a_ub[:m, :n_pi] = np.cumsum(rows[m + k + m :][::-1], axis=0)[::-1]
+    ineq[:m, :n_pi] = np.cumsum(rows[m + k + m :][::-1], axis=0)[::-1]
     # t_i >= +/- row deviation
-    a_ub[m::2, :n_pi] = rows[m + k : m + k + m]
-    a_ub[m + 1 :: 2, :n_pi] = rows[m + k + m :]
-    a_ub[m + np.arange(2 * m), n_pi + np.arange(2 * m) // 2] = -1.0
+    ineq[m::2, :n_pi] = rows[m + k : m + k + m]
+    ineq[m + 1 :: 2, :n_pi] = rows[m + k + m :]
+    ineq[m + np.arange(2 * m), n_pi + np.arange(2 * m) // 2] = -1.0
+    ineq[:, n_pi + m :] = np.eye(3 * m)
 
     # t_i starts at |deviation_i| of the north-west plan: basic on its
     # +deviation row (program row m + k + m + 2i) or on the -deviation row
-    # after it
+    # after it; every other inequality row starts on its slack
     start, plan = north_west_start(mu.weights, nu.weights, 3 * m)
+    start[m + k :] = n_pi + m + np.arange(3 * m)
     negative = np.sum(plan * gaps, axis=1) < 0
     start[m + k + m + 2 * np.arange(m) + negative] = n_pi + np.arange(m)
 
-    objective = np.concatenate([cost.matrix_for(mu, nu).ravel(), np.full(m, float(L))])
-    sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq,
-                                 b_eq=np.concatenate([mu.weights, nu.weights]),
-                                 a_ub=a_ub, b_ub=np.zeros(3 * m)), start=start)
+    objective = np.concatenate([cost.matrix_for(mu, nu).ravel(), np.full(m, float(L)),
+                                np.zeros(3 * m)])
+    sol = solve_lp(LinearProgram(objective=objective, a_eq=a,
+                                 b_eq=np.concatenate([mu.weights, nu.weights, np.zeros(3 * m)])),
+                   start=start)
     if sol.status == "infeasible":
         raise ConvexOrderError("no dispersion-feasible coupling: marginals not in convex order")
     check_point(sol, "penalized", _row_scale(mu, nu))
@@ -349,7 +351,7 @@ def _sample_cost(cost: CostSpec, pi: DiscreteCoupling, sub: DiscreteCoupling) ->
     mu, nu = pi.first_marginal, pi.second_marginal
     rows = np.searchsorted(mu.atoms, sub.first_marginal.atoms)
     cols = np.searchsorted(nu.atoms, sub.second_marginal.atoms)
-    return CostSpec.from_matrix(cost.matrix_for(mu, nu)[np.ix_(rows, cols)], cost.lipschitz)
+    return CostSpec.from_matrix(cost.matrix_for(mu, nu)[np.ix_(rows, cols)])
 
 
 def _sample_value(cost: CostSpec, pi: DiscreteCoupling, sub: DiscreteCoupling) -> float:

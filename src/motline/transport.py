@@ -105,7 +105,7 @@ def north_west_start(source_w: np.ndarray, target_w: np.ndarray, extra_rows: int
     Returns (start, plan).  ``start`` puts the cells on the m row-sum rows and
     on column-sum rows 0..k-2; the last column sum (the row the rank pass
     drops) and the ``extra_rows`` rows after the grid rows get -1, so they
-    keep their slack or artificial.  ``plan`` is the m x k mass matrix.
+    keep an artificial.  ``plan`` is the m x k mass matrix.
     """
     cum_s, cum_t = np.cumsum(source_w), np.cumsum(target_w)
     m, k = cum_s.size, cum_t.size
@@ -171,17 +171,16 @@ def w_p_plane(pi: DiscreteCoupling, rho: DiscreteCoupling, p: float = 1.0) -> fl
     return max(value, 0.0) ** (1.0 / p)
 
 
-def adapt_marginals(pi: DiscreteCoupling, mu2: DiscreteMeasure, nu2: DiscreteMeasure,
-                    p: float = 1.0) -> DiscreteCoupling:
+def adapt_marginals(pi: DiscreteCoupling, mu2: DiscreteMeasure,
+                    nu2: DiscreteMeasure) -> DiscreteCoupling:
     """Push a coupling onto new marginals through monotone transport kernels.
 
     Each support point (x1, x2) of ``pi`` spreads its mass according to the
     conditional laws of the monotone plans mu -> mu2 and nu -> nu2.  The output
-    lies in Pi(mu2, nu2) and moves no further from ``pi`` than
-    W_p(mu, mu2) + W_p(nu, nu2); the same quantity bounds the output's
+    lies in Pi(mu2, nu2) and, for every p >= 1, moves no further from ``pi``
+    than W_p(mu, mu2) + W_p(nu, nu2); the same quantity bounds the output's
     barycentre deviation when ``pi`` is a martingale coupling.
     """
-    _require_p(p)
     mu, nu = pi.first_marginal, pi.second_marginal
     z = optimal_coupling_1d(mu, mu2).matrix / mu.weights[:, None]
     h = optimal_coupling_1d(nu, nu2).matrix / nu.weights[:, None]

@@ -33,6 +33,17 @@ def vertex_minimum(a_eq, b_eq, objective, tol=1e-9):
     return best
 
 
+def highs(objective, a_eq, b_eq):
+    """HiGHS on min c.x s.t. a_eq x = b_eq, x >= 0, with feasibility
+    tolerances of 1e-10.  Its default tolerances are absolute (1e-7), so on
+    masses and atoms of order 1e-3 its optimum is off by 1e-4 relative and it
+    would flag a correct solver."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    return linprog(objective, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                   options={"primal_feasibility_tolerance": 1e-10,
+                            "dual_feasibility_tolerance": 1e-10})
+
+
 def transport_system(source_w, target_w):
     """Equality system of the transportation polytope."""
     n1, n2 = len(source_w), len(target_w)

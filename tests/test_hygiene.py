@@ -106,6 +106,21 @@ def test_traced_names_exist_where_the_trace_patches_them():
         assert name in _used_names(tree) or (path.name, name) in KEPT, (module, name)
 
 
+def test_lp_attributes_the_trace_reads_exist():
+    # the traced benchmark run hands each captured program to HiGHS through
+    # lp.<name> reads; getattr, not attribute syntax, so that this test does
+    # not count as a reader of them
+    from motline.lp import LinearProgram
+
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and isinstance(n.value, ast.Name) and n.value.id == "lp"}
+    assert names
+    lp = LinearProgram(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    for name in sorted(names):
+        getattr(lp, name)
+
+
 def test_checker_flags_an_unused_import(tmp_path):
     source = tmp_path / "sample.py"
     source.write_text("from __future__ import annotations\n"

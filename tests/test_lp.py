@@ -32,15 +32,18 @@ from motline.jsonio import save
 from motline.lp import FEAS_TOL, _independent_rows
 from motline.transport import grid_rows, north_west_start
 
-from conftest import transport_bruteforce, transport_system
+from conftest import highs, transport_bruteforce, transport_system
 
 TOL = 1e-9
 
 
 def test_lower_bound_via_inequality():
-    sol = solve_lp(LinearProgram(objective=[1.0], a_ub=[[-1.0]], b_ub=[-3.0]))
+    # x >= 3 written as -x + s = -3 with a slack s: the row is negated to a
+    # nonnegative right-hand side before the solve
+    sol = solve_lp(LinearProgram(objective=[1.0, 0.0], a_eq=[[-1.0, 1.0]], b_eq=[-3.0]))
     assert sol.status == "optimal"
     assert abs(sol.x[0] - 3.0) <= TOL and abs(sol.objective - 3.0) <= TOL
+    assert sol.max_violation <= TOL
 
 
 def test_two_by_two_transport():
@@ -60,13 +63,6 @@ def test_infeasible_equalities():
 def test_unbounded():
     sol = solve_lp(LinearProgram(objective=[-1.0, 0.0]))
     assert sol.status == "unbounded"
-
-
-def test_upper_bounds_and_shifted_lower_bounds():
-    sol = solve_lp(LinearProgram(objective=[-1.0], lower=[-2.0], upper=[4.5]))
-    assert sol.status == "optimal" and abs(sol.x[0] - 4.5) <= TOL
-    sol = solve_lp(LinearProgram(objective=[1.0], lower=[-2.0], upper=[4.5]))
-    assert abs(sol.x[0] + 2.0) <= TOL
 
 
 def test_matches_vertex_enumeration_on_random_transport():
@@ -127,8 +123,6 @@ def test_rejects_malformed_programs():
         LinearProgram(objective=[1.0], a_eq=[[1.0, 2.0]], b_eq=[1.0])
     with pytest.raises(InputError):
         LinearProgram(objective=[np.inf])
-    with pytest.raises(InputError):
-        LinearProgram(objective=[1.0], lower=[2.0], upper=[1.0])
 
 
 def _built_lp(monkeypatch, module, call):
@@ -166,7 +160,7 @@ def test_pivot_counts_are_pinned(monkeypatch):
         "strassen": (mot, lambda: strassen_feasible(mu, nu),
                      ((31, 0), (0, 0), 2), ((6, 0), (0, 0), 2)),
         "penalized": (mot, lambda: penalized_ot(mu, nu, CostSpec.absolute(), 1.0),
-                      ((34, 18), (1, 0), 1), ((0, 8), (0, 0), 1)),
+                      ((45, 25), (0, 0), 1), ((0, 8), (0, 0), 1)),
         "projection": (nested, lambda: project_to_martingale(pi),
                        ((119, 7), (0, 0), 2), ((17, 22), (0, 0), 2)),
     }
@@ -201,10 +195,7 @@ def test_lps_without_a_start_are_unchanged(monkeypatch):
 
 
 def _highs_value(lp):
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    ub = {"A_ub": lp.a_ub, "b_ub": lp.b_ub} if lp.a_ub.shape[0] else {}
-    res = linprog(lp.objective, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None),
-                  method="highs", **ub)
+    res = highs(lp.objective, lp.a_eq, lp.b_eq)
     assert res.status == 0
     return res.fun
 
@@ -242,12 +233,10 @@ def test_penalized_start_needs_no_phase_1(monkeypatch, seed, m):
 
 
 def _assert_same_optimum(lp, start):
-    linprog = pytest.importorskip("scipy.optimize").linprog
     cold, warm = solve_lp(lp), solve_lp(lp, start=start)
     assert cold.status == warm.status == "optimal"
     assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-15)
-    expected = linprog(lp.objective, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None),
-                       method="highs").fun
+    expected = highs(lp.objective, lp.a_eq, lp.b_eq).fun
     assert warm.objective == pytest.approx(expected, rel=1e-9, abs=1e-12)
     assert max(cold.max_violation, warm.max_violation) <= FEAS_TOL
 
@@ -399,10 +388,10 @@ def test_rank_pass_on_zero_rows_and_private_columns():
 
 
 def test_singular_basis_raises_internal_error(monkeypatch, tmp_path, capsys):
-    # the cold penalized LP ends phase 1 with an artificial in its basis, so
-    # it rebuilds its tableau; a singular basis there is a defect, not a
-    # reason to fall back to least squares
-    mu, nu = random_convex_pair(5, m=5, k=10)
+    # the cold penalized LP of this pair ends phase 1 with an artificial in
+    # its basis, so it rebuilds its tableau; a singular basis there is a
+    # defect, not a reason to fall back to least squares
+    mu, nu = random_convex_pair(3, m=4, k=8)
     lp, _ = _built_lp(monkeypatch, mot, lambda: penalized_ot(mu, nu, CostSpec.absolute(), 1.0))
     assert solve_lp(lp).rebuilds == (1, 0)
     files = []
@@ -424,7 +413,8 @@ def test_singular_basis_raises_internal_error(monkeypatch, tmp_path, capsys):
 def test_values_match_highs_through_the_rebuilds(monkeypatch):
     # the rebuilds only steer the simplex: every value they lead to is
     # HiGHS's, on competitor, martingale and penalized LPs, including the
-    # wide penalized LP whose phase-2 refinement rebuilds its tableau
+    # wide penalized LP whose phase-2 refinement rebuilds its tableau, and a
+    # narrow one on which HiGHS at its default tolerances is 1e-4 off
     solved = []
     original = mot.solve_lp
 
@@ -443,6 +433,8 @@ def test_values_match_highs_through_the_rebuilds(monkeypatch):
         penalized_ot(mu, nu, cost, 1.0)
         monotonicity_check(optimizer, cost, 10, 4, seed)
     mu, nu = random_convex_pair(8, m=4, k=8, radius=1e4)
+    penalized_ot(mu, nu, cost, 1.0)
+    mu, nu = random_convex_pair(37, m=8, k=16, radius=1e-3)
     penalized_ot(mu, nu, cost, 1.0)
     assert sum(sol.rebuilds[0] for sol in solved) >= 5
     assert sum(sol.rebuilds[1] > 0 for sol in solved) >= 1

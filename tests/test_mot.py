@@ -35,7 +35,7 @@ from motline.measures import ATOM_MERGE_TOL, DiscreteCoupling
 from motline.mot import _merged_ranks, _single_competitor
 from motline.transport import coupling_grid
 
-from conftest import coupling_cost
+from conftest import coupling_cost, highs
 
 TOL = 1e-9
 
@@ -516,7 +516,6 @@ def test_competitor_skips_lp_on_dirac_kernels(monkeypatch):
 def test_dirac_kernels_admit_no_competitor_highs(seed):
     # the theorem behind the shortcut, checked with an independent solver:
     # the competitor LP's optimum is the current cost for every cost
-    linprog = pytest.importorskip("scipy.optimize").linprog
     mu, nu = random_convex_pair(seed, m=4 + seed % 3, k=8 + seed % 4, radius=3.0)
     rng = np.random.default_rng(seed)
     couplings = [random_coupling(seed + 10, mu, nu, blend=3),  # not a martingale
@@ -529,20 +528,19 @@ def test_dirac_kernels_admit_no_competitor_highs(seed):
             for cost in SHORTCUT_COSTS[:4] + [random_matrix]:
                 cmat = cost.matrix_for(sa, sb)
                 current = float(np.sum(grid * cmat))
-                res = linprog(cmat.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                              method="highs")
+                res = highs(cmat.ravel(), a_eq, b_eq)
                 assert res.status == 0
                 assert abs(res.fun - current) <= 1e-12 * max(1.0, abs(current))
 
 
-def _cell_range_highs(linprog, a_eq, b_eq):
+def _cell_range_highs(a_eq, b_eq):
     """Min and max of every variable over {q >= 0 : a_eq q = b_eq}."""
     low, high = [], []
     for c in range(a_eq.shape[1]):
         unit = np.zeros(a_eq.shape[1])
         unit[c] = 1.0
         for sign, out in ((1.0, low), (-1.0, high)):
-            res = linprog(sign * unit, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+            res = highs(sign * unit, a_eq, b_eq)
             assert res.status == 0
             out.append(sign * res.fun)
     return np.array(low), np.array(high)
@@ -581,7 +579,6 @@ def _certified_subsets(pi, size, seed, count):
 def test_certified_competitor_polytope_is_one_point_highs(seed):
     # the theorem behind the certificate, checked with an independent solver:
     # over the competitor polytope, every grid cell has min = max = alpha
-    linprog = pytest.importorskip("scipy.optimize").linprog
     mu, nu = random_convex_pair(seed, m=5 + seed % 3, k=10 + seed % 4, radius=3.0)
     alphas = []
     for pi in (random_coupling(seed + 10, mu, nu, blend=3),
@@ -605,7 +602,7 @@ def test_certified_competitor_polytope_is_one_point_highs(seed):
     for alpha in alphas:
         _, _, grid, a_eq, b_eq = _competitor_system(alpha)
         assert _single_competitor(*_grid_support(alpha))
-        low, high = _cell_range_highs(linprog, a_eq, b_eq)
+        low, high = _cell_range_highs(a_eq, b_eq)
         assert np.max(np.abs(low - grid.ravel())) <= 1e-9
         assert np.max(np.abs(high - grid.ravel())) <= 1e-9
 
@@ -794,14 +791,12 @@ def test_mot_row_checks_scale_with_the_atoms(monkeypatch):
     # through rounding alone; both pairs raised under an absolute FEAS_TOL
     import motline.mot as mot
 
-    linprog = pytest.importorskip("scipy.optimize").linprog
     original = mot.solve_lp
     gaps = []
 
     def against_highs(lp, start=None):
         sol = original(lp, start=start)
-        expected = linprog(lp.objective, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None),
-                           method="highs").fun
+        expected = highs(lp.objective, lp.a_eq, lp.b_eq).fun
         gaps.append(abs(sol.objective - expected) / max(abs(expected), 1e-300))
         return sol
 
@@ -824,7 +819,6 @@ NOISE_PIVOT_PAIRS = [(12, 1534784944), (12, 76664365), (13, 1843471492), (14, 18
 
 
 def _martingale_highs(mu, nu, cmat):
-    linprog = pytest.importorskip("scipy.optimize").linprog
     m, k = len(mu), len(nu)
     a_eq = np.zeros((2 * m + k, m * k))
     for i in range(m):
@@ -833,7 +827,7 @@ def _martingale_highs(mu, nu, cmat):
     for j in range(k):
         a_eq[m + j, j::k] = 1.0
     b_eq = np.concatenate([mu.weights, nu.weights, np.zeros(m)])
-    res = linprog(cmat.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = highs(cmat.ravel(), a_eq, b_eq)
     assert res.status == 0
     return res.fun
 

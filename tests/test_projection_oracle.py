@@ -26,7 +26,8 @@ from motline.errors import InternalError
 from motline.lp import LpSolution
 from motline.nested import _projection_lp
 
-linprog = pytest.importorskip("scipy.optimize").linprog
+from conftest import highs
+
 wasserstein_distance = pytest.importorskip("scipy.stats").wasserstein_distance
 
 REL = 1e-9
@@ -71,8 +72,7 @@ def pointwise_projection_value(pi, pairing=None):
         row[tgt0 + r * k : tgt0 + (r + 1) * k] = nu.atoms - mu.atoms[r]
         rows.append(row)
         rhs.append(0.0)
-    res = linprog(cost, A_eq=np.array(rows), b_eq=np.array(rhs), bounds=(0, None),
-                  method="highs")
+    res = highs(cost, np.array(rows), np.array(rhs))
     assert res.status == 0, res.message
     return float(res.fun)
 

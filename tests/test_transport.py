@@ -130,14 +130,14 @@ def test_triangle_inequality():
 def test_adapt_marginals_identity():
     mu, nu = random_convex_pair(2, m=3, k=5)
     pi = random_coupling(3, mu, nu)
-    out = adapt_marginals(pi, mu, nu, p=1)
+    out = adapt_marginals(pi, mu, nu)
     assert np.array_equal(out.x1, pi.x1) and np.array_equal(out.x2, pi.x2)
     assert np.max(np.abs(out.w - pi.w)) <= TOL
 
 
 def test_adapt_marginals_point_shift():
     pi = make_coupling([(0, 0, 1.0)])
-    out = adapt_marginals(pi, point_mass(1), point_mass(2), p=1)
+    out = adapt_marginals(pi, point_mass(1), point_mass(2))
     assert (out.x1.tolist(), out.x2.tolist(), out.w.tolist()) == ([1.0], [2.0], [1.0])
 
 
@@ -145,7 +145,7 @@ def test_adapt_marginals_has_requested_marginals():
     mu, nu = random_convex_pair(7, m=3, k=5)
     pi = random_coupling(8, mu, nu)
     mu2, nu2 = random_convex_pair(9, m=3, k=6)
-    out = adapt_marginals(pi, mu2, nu2, p=1)
+    out = adapt_marginals(pi, mu2, nu2)
     assert np.allclose(out.first_marginal.atoms, mu2.atoms)
     assert np.allclose(out.first_marginal.weights, mu2.weights, atol=TOL)
     assert np.allclose(out.second_marginal.atoms, nu2.atoms)
@@ -160,7 +160,7 @@ def test_adapt_marginals_deviation_bound_for_martingale_input():
     h = 0.1
     mu2 = make_measure(base.first_marginal.atoms + h, base.first_marginal.weights)
     nu2 = make_measure(base.second_marginal.atoms - h, base.second_marginal.weights)
-    out = adapt_marginals(base, mu2, nu2, p=1)
+    out = adapt_marginals(base, mu2, nu2)
     shift = w_p_1d(base.first_marginal, mu2, 1) + w_p_1d(base.second_marginal, nu2, 1)
     assert shift <= 2 * h + TOL
     assert barycentre_report(out).epsilon <= shift + TOL
