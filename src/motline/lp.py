@@ -36,7 +36,8 @@ class LinearProgram:
         a, b = self.a_eq, self.b_eq
         if a is None or (hasattr(a, "__len__") and len(a) == 0):
             a, b = np.zeros((0, c.size)), np.zeros(0)
-        a = np.atleast_2d(np.asarray(a, dtype=float))
+        # views, frozen below: the caller's own arrays stay writable
+        a = np.atleast_2d(np.asarray(a, dtype=float)).view()
         b = np.asarray(b, dtype=float).ravel()
         if a.shape != (b.size, c.size):
             raise InputError(f"a_eq rows must have length {c.size} and match rhs")

@@ -359,6 +359,52 @@ def _sample_value(cost: CostSpec, pi: DiscreteCoupling, sub: DiscreteCoupling) -
     return float(np.sum(_sample_cost(cost, pi, sub).matrix_for(sa, sb) * grid))
 
 
+def _support_dual(a: np.ndarray, c: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Multipliers y of the rows of ``a`` whose reduced costs c - y a vanish
+    on the support columns, by least squares: exactly when some y does."""
+    return np.linalg.lstsq(a[:, support].T, c[support], rcond=None)[0]
+
+
+def _dual_witness(pi: DiscreteCoupling, cost: CostSpec):
+    """Reduced costs r = c - y A of pi's competitor system over its whole
+    grid, under the dual y of pi's own support (``_support_dual``).
+
+    Returns (rows, cols, low, high): the grid row and column of each point
+    of pi; r less its rounding allowance on each cell, as nested lists; and
+    r plus it at each point.  The allowance is a few ulps of |c| + |y| |A|.
+    When two atoms of a marginal lie within ATOM_MERGE_TOL a sample may
+    merge them off pi's grid, so ``low`` is -inf and nothing is certified.
+    """
+    mu, nu, grid = coupling_grid(pi)
+    a, _ = _competitor_system(grid, nu)
+    c = cost.matrix_for(mu, nu).ravel()
+    y = _support_dual(a, c, np.flatnonzero(grid))
+    r = c - y @ a
+    allowance = 8 * np.finfo(float).eps * (np.abs(c) + np.abs(y) @ np.abs(a))
+    low = (r - allowance).reshape(grid.shape)
+    if np.min(np.r_[np.diff(mu.atoms), np.diff(nu.atoms)], initial=np.inf) <= ATOM_MERGE_TOL:
+        low[:] = -np.inf
+    rows, cols = np.searchsorted(mu.atoms, pi.x1), np.searchsorted(nu.atoms, pi.x2)
+    high = (r + allowance)[rows * len(nu) + cols]
+    return rows.tolist(), cols.tolist(), low.tolist(), high.tolist()
+
+
+def _improvement_bound(witness, idx, w) -> float:
+    """Most that any competitor of the sample of pi's points ``idx`` (masses
+    ``w[idx]``, renormalized) can save, by weak duality.
+
+    A competitor q of the sample alpha keeps alpha's row masses, column
+    masses and row barycentres, which are the rows of A on alpha's cells.
+    So c.q - c.alpha = r.q - r.alpha, whatever y is, and r.q is at least
+    min(0, min r on those cells), as q has mass 1.  Plain Python: a sample
+    has a handful of points.
+    """
+    rows, cols, low, high = witness
+    sample_rows, sample_cols = {rows[p] for p in idx}, {cols[p] for p in idx}
+    floor = min(0.0, min(low[i][j] for i in sample_rows for j in sample_cols))
+    return sum(w[p] * high[p] for p in idx) / sum(w[p] for p in idx) - floor
+
+
 @dataclass(frozen=True, eq=False)
 class MonotonicityReport:
     samples: int
@@ -383,11 +429,22 @@ def monotonicity_check(pi: DiscreteCoupling, cost: CostSpec, samples: int,
     rows and columns are read off the sampled coordinates, so it is
     certified before its sub-coupling or its LP is built.  A ``from_matrix``
     cost is read over pi's grid and sliced to each sample's rows and columns.
+
+    Every other sample is first bounded through one dual witness of pi,
+    built for the first such sample: multipliers y of pi's competitor system
+    (row masses, column masses and row barycentres over pi's whole grid)
+    that zero the reduced costs r = c - y A on supp pi, by least squares,
+    with no LP (``_dual_witness``).  By weak duality no competitor of a
+    sample saves more than its r-weighted mass less min(0, min r on its
+    cells), whatever y is (``_improvement_bound``).  A sample whose bound,
+    with a rounding allowance, is at most tol / 2 is certified; the rest go
+    through ``competitor_improve`` and its LP.
     """
     rng = random.Random(rng_seed)
     n = len(pi)
     size = min(subset_size, n)
-    x1, x2 = pi.x1.tolist(), pi.x2.tolist()
+    x1, x2, w = pi.x1.tolist(), pi.x2.tolist(), pi.w.tolist()
+    witness = None
     cache = {}
     violations = []
     for s in range(samples):
@@ -396,7 +453,11 @@ def monotonicity_check(pi: DiscreteCoupling, cost: CostSpec, samples: int,
             cache[idx] = None
             if not _single_competitor(_merged_ranks([x1[i] for i in idx]),
                                       _merged_ranks([x2[i] for i in idx])):
-                alpha = make_coupling([(x1[i], x2[i], pi.w[i]) for i in idx])
+                if witness is None:
+                    witness = _dual_witness(pi, cost)
+                if _improvement_bound(witness, idx, w) <= tol / 2:
+                    continue
+                alpha = make_coupling([(x1[i], x2[i], w[i]) for i in idx])
                 better = competitor_improve(alpha, _sample_cost(cost, pi, alpha), tol)
                 if better is not None:
                     cache[idx] = (idx, _sample_value(cost, pi, alpha),

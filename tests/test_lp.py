@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -123,6 +124,15 @@ def test_rejects_malformed_programs():
         LinearProgram(objective=[1.0], a_eq=[[1.0, 2.0]], b_eq=[1.0])
     with pytest.raises(InputError):
         LinearProgram(objective=[np.inf])
+
+
+def test_program_leaves_the_callers_arrays_writable():
+    # the program freezes views of its inputs, not the caller's arrays
+    c, a, b = np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
+    lp = LinearProgram(objective=c, a_eq=a, b_eq=b)
+    for arr in (lp.objective, lp.a_eq, lp.b_eq):
+        assert not arr.flags.writeable
+    c[0], a[0, 0], b[0] = 3.0, 3.0, 3.0  # raises on a read-only array
 
 
 def _built_lp(monkeypatch, module, call):
@@ -425,6 +435,8 @@ def test_values_match_highs_through_the_rebuilds(monkeypatch):
         return sol
 
     monkeypatch.setattr(mot, "solve_lp", against_highs)
+    # every monotonicity sample past the hull test goes to its competitor LP
+    monkeypatch.setattr(mot, "_improvement_bound", lambda *args: math.inf)
     cost = CostSpec.absolute()
     for seed in range(8):
         m = 3 + seed % 6

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -653,9 +655,31 @@ def test_monotonicity_check_same_without_certificate(monkeypatch):
     assert sum(report.n_violations for report in reports) > 0
 
 
+def _support_dual_off(monkeypatch):
+    """Every sample past the hull test goes to its competitor LP."""
+    import motline.mot as mot
+
+    monkeypatch.setattr(mot, "_improvement_bound", lambda *args: math.inf)
+
+
+def _competitor_calls(monkeypatch):
+    """The list of calls of competitor_improve, each one competitor LP."""
+    import motline.mot as mot
+
+    original, calls = mot.competitor_improve, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mot, "competitor_improve", counted)
+    return calls
+
+
 def test_competitor_lp_count_pinned(monkeypatch):
     # random_convex_pair(7, 12, 24, radius=10), as on the mot-batch benchmark:
-    # 19 competitor LPs when only one point per x1 was certified, 7 now
+    # 1 competitor LP with the support dual; 7 without it, and 19 when only
+    # one point per x1 was certified
     import motline.mot as mot
 
     mu, nu = random_convex_pair(7, 12, 24, radius=10.0)
@@ -669,11 +693,160 @@ def test_competitor_lp_count_pinned(monkeypatch):
 
     monkeypatch.setattr(mot, "solve_lp", counted)
     assert monotonicity_check(optimizer, cost, 40, 4, 7).n_violations == 0
+    assert len(calls) == 1
+    calls.clear()
+    _support_dual_off(monkeypatch)
+    assert monotonicity_check(optimizer, cost, 40, 4, 7).n_violations == 0
     assert len(calls) == 7
     calls.clear()
     monkeypatch.setattr(mot, "_single_competitor", lambda rows, cols: len(set(rows)) == len(rows))
     assert monotonicity_check(optimizer, cost, 40, 4, 7).n_violations == 0
     assert len(calls) == 19
+
+
+def test_competitor_lp_counts_on_mot_batch_sizes(monkeypatch):
+    # a timing-free guard on the support dual: the competitor LPs of
+    # monotonicity_check(optimizer, abs, 40 samples of 4, seed m) over
+    # random_convex_pair(m, m, 2m, radius=10), m = 8..15; 88 without the dual
+    cost = CostSpec.absolute()
+    optimizers = {m: mot_solve(*random_convex_pair(m, m, 2 * m, radius=10.0), cost)[1]
+                  for m in range(8, 16)}
+    lps, counts = _competitor_calls(monkeypatch), []
+    for m, optimizer in optimizers.items():
+        lps.clear()
+        assert monotonicity_check(optimizer, cost, 40, 4, m).n_violations == 0
+        counts.append(len(lps))
+    assert counts == [8, 1, 1, 0, 1, 1, 1, 4]
+
+
+def _witness_cases(radius):
+    """(coupling, cost, seed) triples: the optimizer of each of the five cost
+    kinds and a random coupling, on seeded pairs, and SUBOPTIMAL."""
+    poly = CostSpec.polynomial([(1, 2, 1.0), (3, 1, -0.5)])
+    cases = [(make_coupling(SUBOPTIMAL), CostSpec.absolute(), 0)]
+    for seed in range(2):
+        m = 5 + 3 * seed
+        mu, nu = random_convex_pair(seed, m, 2 * m, radius=radius)
+        matrix = CostSpec.from_matrix(np.random.default_rng(seed).normal(size=(m, 2 * m)))
+        for cost in (CostSpec.absolute(), CostSpec.squared(),
+                     CostSpec.call(float(np.median(nu.atoms))), poly, matrix):
+            cases.append((mot_solve(mu, nu, cost)[1], cost, seed))
+            cases.append((random_coupling(seed + 100, mu, nu), cost, seed))
+    return cases
+
+
+def _reports(cases):
+    return [monotonicity_check(pi, cost, 40, 4, seed).violations for pi, cost, seed in cases]
+
+
+@pytest.mark.parametrize("radius", [1.0, 10.0])
+def test_support_dual_leaves_reports_unchanged(monkeypatch, radius):
+    cases = _witness_cases(radius)
+    lps = _competitor_calls(monkeypatch)
+    reports = _reports(cases)
+    with_dual = len(lps)
+    _support_dual_off(monkeypatch)
+    assert _reports(cases) == reports
+    # the dual certified most samples, and the cases hold violations
+    assert 2 * with_dual < len(lps) - with_dual
+    assert sum(map(len, reports)) > 0
+
+
+@pytest.mark.parametrize("noise", [None, 1e-9])
+def test_a_wrong_support_dual_never_changes_a_report(monkeypatch, noise):
+    # the bound holds for every y: with y replaced by noise, or the
+    # least-squares y perturbed, a sample is certified only where its LP
+    # would find no saving either
+    import motline.mot as mot
+
+    cases = _witness_cases(10.0)
+    lps = _competitor_calls(monkeypatch)
+    with monkeypatch.context() as patch:
+        _support_dual_off(patch)
+        expected = _reports(cases)
+    every = len(lps)
+    lps.clear()
+    rng = np.random.default_rng(3)
+    least_squares = mot._support_dual
+
+    def wrong(a, c, support):
+        y = least_squares(a, c, support)
+        if noise is None:
+            return rng.normal(size=y.shape) * np.max(np.abs(y))
+        return y + noise * np.max(np.abs(y)) * rng.normal(size=y.shape)
+
+    monkeypatch.setattr(mot, "_support_dual", wrong)
+    assert _reports(cases) == expected
+    # noise certifies nothing; the perturbed y still certifies some samples
+    certified = every - len(lps)
+    assert certified == 0 if noise is None else certified > 0
+
+
+def test_support_dual_bound_in_exact_rationals(monkeypatch):
+    # random_coupling(263, *random_convex_pair(163, 11, 22, radius=1e3)) under
+    # the square cost.  Its competitor LP alone reports sample 13 (points 9,
+    # 17, 21 and 31) as saving 1.6e-7 of 208824.583, which is 7.7e-13
+    # relative and round-off: the support dual bounds the saving by 3.6e-8
+    # in exact rationals, and HiGHS finds 2.9e-11
+    import motline.mot as mot
+
+    mu, nu = random_convex_pair(163, 11, 22, radius=1e3)
+    pi, cost, idx = random_coupling(263, mu, nu), CostSpec.squared(), (9, 17, 21, 31)
+    least_squares, duals = mot._support_dual, []
+
+    def recorded(a, c, support):
+        duals.append(least_squares(a, c, support))
+        return duals[-1]
+
+    monkeypatch.setattr(mot, "_support_dual", recorded)
+    assert monotonicity_check(pi, cost, 40, 4, 163).violations == ()
+    w = pi.w.tolist()
+    bound = mot._improvement_bound(mot._dual_witness(pi, cost), idx, w)
+    assert bound <= mot.IMPROVE_TOL / 2
+
+    # the same bound, r.alpha - min(0, min r on alpha's cells), in fractions
+    _, _, _, a_eq, _ = _competitor_system(pi)
+    c = cost.matrix_for(mu, nu).ravel()
+    y = [Fraction(v) for v in duals[-1]]
+
+    def reduced(i, j):
+        cell = i * len(nu) + j
+        return Fraction(c[cell]) - sum(y[r] * Fraction(a_eq[r, cell])
+                                       for r in np.flatnonzero(a_eq[:, cell]))
+
+    rows = np.searchsorted(mu.atoms, pi.x1[list(idx)]).tolist()
+    cols = np.searchsorted(nu.atoms, pi.x2[list(idx)]).tolist()
+    saving = (sum(Fraction(w[p]) * reduced(i, j) for p, i, j in zip(idx, rows, cols))
+              / sum(Fraction(w[p]) for p in idx))
+    exact = saving - min([Fraction(0)] + [reduced(i, j) for i in rows for j in cols])
+    assert 0 < exact <= Fraction(bound)
+
+    alpha = make_coupling([(pi.x1[p], pi.x2[p], w[p]) for p in idx])
+    sa, sb, grid, a_eq, b_eq = _competitor_system(alpha)
+    cmat = cost.matrix_for(sa, sb)
+    res = highs(cmat.ravel(), a_eq, b_eq)
+    assert res.status == 0
+    assert float(np.sum(grid * cmat)) - res.fun <= exact
+
+
+def test_support_dual_certifies_nothing_where_atoms_may_merge(monkeypatch):
+    # atoms closer than ATOM_MERGE_TOL may merge into one atom of a sample,
+    # off pi's grid, where the dual of pi's system bounds nothing
+    # an optimizer with one point split in two, 0.6 ATOM_MERGE_TOL apart in x2
+    optimizer = mot_solve(*random_convex_pair(7, 6, 12), CostSpec.absolute())[1]
+    x1, x2, w = optimizer.x1.tolist(), optimizer.x2.tolist(), optimizer.w.tolist()
+    w[3] /= 2
+    x1, x2, w = x1 + [x1[3]], x2 + [x2[3] + 0.6 * ATOM_MERGE_TOL], w + [w[3]]
+    pi = DiscreteCoupling(np.array(x1), np.array(x2), np.array(w))
+    lps = _competitor_calls(monkeypatch)
+    for cost in (CostSpec.absolute(), CostSpec.squared()):
+        lps.clear()
+        report = monotonicity_check(pi, cost, 40, 4, 1)
+        with_dual = len(lps)
+        with monkeypatch.context() as patch:
+            _support_dual_off(patch)
+            assert monotonicity_check(pi, cost, 40, 4, 1).violations == report.violations
+        assert 0 < with_dual == len(lps) - with_dual
 
 
 # monotonicity_check violations under the abs cost, recorded before the Dirac
