@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -320,28 +321,30 @@ def is_monotone_support(pi: DiscreteCoupling) -> bool:
     return True
 
 
-def _quantile_merge(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Yield (i, j, mass) quantile segments pairing the two supports in order."""
-    i = j = 0
-    ra, rb = float(mu.weights[0]), float(nu.weights[0])
-    while True:
-        take = min(ra, rb)
-        if take > 0:
-            yield i, j, take
-        ra -= take
-        rb -= take
-        if ra <= 0:
-            i += 1
-            if i == len(mu):
-                return
-            ra = float(mu.weights[i])
-        if rb <= 0:
-            j += 1
-            if j == len(nu):
-                return
-            rb = float(nu.weights[j])
+def quantile_cells(*weights):
+    """Joint quantile staircase of weight vectors over sorted supports.
+
+    Merges the cumulative weights of all the vectors, ties broken in argument
+    order; each breakpoint but a vector's last steps that vector to its next
+    atom.  Returns (index, mass): ``index[n, s]`` is the atom of vector n on
+    segment s, ``mass[s]`` the segment's length.  Zero-length segments are
+    kept: for two vectors they are the north-west-corner plan's degenerate
+    basis cells.
+    """
+    cums = [list(accumulate(map(float, w))) for w in weights]
+    at, upper, low = [0] * len(cums), [cum[0] for cum in cums], 0.0
+    cells, mass = [tuple(at)], []
+    for c, n in sorted((c, n) for n, cum in enumerate(cums) for c in cum[:-1]):
+        mass.append(max(min(upper) - low, 0.0))
+        at[n] += 1
+        upper[n], low = cums[n][at[n]], c
+        cells.append(tuple(at))
+    mass.append(max(min(upper) - low, 0.0))
+    return np.array(cells).T, np.array(mass)
 
 
 def hoeffding_frechet(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteCoupling:
-    """Comonotone (quantile) coupling obtained by merging cumulative breakpoints."""
-    return make_coupling((mu.atoms[i], nu.atoms[j], take) for i, j, take in _quantile_merge(mu, nu))
+    """Comonotone (quantile) coupling; cells of mass at most MASS_DROP_TOL are dropped."""
+    (i, j), mass = quantile_cells(mu.weights, nu.weights)
+    keep = mass > MASS_DROP_TOL
+    return make_coupling(zip(mu.atoms[i[keep]], nu.atoms[j[keep]], mass[keep]))

@@ -15,6 +15,7 @@ from .measures import (
     DiscreteCoupling,
     barycentre_report,
     make_coupling,
+    quantile_cells,
 )
 from .transport import (GRID_DROP, TransportPlan, _require_p, grid_coupling, grid_rows,
                         north_west_start, optimal_coupling_1d, solve_transport, w_p_1d)
@@ -38,26 +39,30 @@ class BicausalPlan:
 def nested_w_p(pi: DiscreteCoupling, rho: DiscreteCoupling, p: float = 1.0):
     """Nested p-Wasserstein distance, returning (value, witness plan).
 
-    Inner conditional distances are computed in closed form on the line; the
-    outer problem is a transportation LP with cost |x1 - y1|^p + inner value.
+    Inner conditional distances are computed in closed form on the line, all
+    of them from one ``quantile_cells`` staircase over every kernel; the outer
+    problem is a transportation LP with cost |x1 - y1|^p + inner value.
     """
     p = _require_p(p)
-    a_items = pi.kernel_items()
-    b_items = rho.kernel_items()
-    inner = np.array([[w_p_1d(ka, kb, p) ** p for _, _, kb in b_items]
-                      for _, _, ka in a_items])
-    a_atoms = np.array([x for x, _, _ in a_items])
-    b_atoms = np.array([y for y, _, _ in b_items])
-    outer_cost = np.abs(a_atoms[:, None] - b_atoms[None, :]) ** p + inner
-    value, matrix = solve_transport(outer_cost,
-                                    pi.first_marginal.weights,
-                                    rho.first_marginal.weights)
-    outer = TransportPlan(pi.first_marginal, rho.first_marginal, matrix)
-    inners = {}
-    for i, j in zip(*np.nonzero(matrix > GRID_DROP)):
-        inners[(int(i), int(j))] = optimal_coupling_1d(a_items[i][2], b_items[j][2])
+    mu, nu = pi.first_marginal, rho.first_marginal
+    outer_cost = np.abs(mu.atoms[:, None] - nu.atoms[None, :]) ** p + _inner_costs(pi, rho, p)
+    value, matrix = solve_transport(outer_cost, mu.weights, nu.weights)
+    inners = {(int(i), int(j)): optimal_coupling_1d(pi.kernels[i], rho.kernels[j])
+              for i, j in zip(*np.nonzero(matrix > GRID_DROP))}
+    outer = TransportPlan(mu, nu, matrix)
     cost = float(np.sum(matrix * outer_cost))
     return max(value, 0.0) ** (1.0 / p), BicausalPlan(outer, inners, p, cost)
+
+
+def _inner_costs(pi: DiscreteCoupling, rho: DiscreteCoupling, p: float) -> np.ndarray:
+    """W_p^p between every kernel of ``pi`` and every kernel of ``rho``, read
+    off one ``quantile_cells`` staircase over all the kernels and reduced one
+    row at a time, so memory stays of the staircase's own size: one entry per
+    kernel and segment."""
+    index, mass = quantile_cells(*(kernel.weights for kernel in pi.kernels + rho.kernels))
+    q_rho = np.array([kernel.atoms[i] for kernel, i in zip(rho.kernels, index[len(pi.kernels):])])
+    return np.array([np.abs(kernel.atoms[i] - q_rho) ** p @ mass
+                     for kernel, i in zip(pi.kernels, index)])
 
 
 def nd_lower_bound(pi: DiscreteCoupling) -> float:

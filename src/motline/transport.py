@@ -13,8 +13,8 @@ from .measures import (
     MASS_DROP_TOL,
     DiscreteCoupling,
     DiscreteMeasure,
-    _quantile_merge,
     make_coupling,
+    quantile_cells,
 )
 
 PLAN_TOL = 1e-9
@@ -58,17 +58,16 @@ def _require_p(p: float) -> float:
 def w_p_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> float:
     """Exact p-Wasserstein distance on the line via quantile-function pairing."""
     p = _require_p(p)
-    total = 0.0
-    for i, j, mass in _quantile_merge(mu, nu):
-        total += mass * abs(mu.atoms[i] - nu.atoms[j]) ** p
-    return total ** (1.0 / p)
+    (i, j), mass = quantile_cells(mu.weights, nu.weights)
+    return float(mass @ np.abs(mu.atoms[i] - nu.atoms[j]) ** p) ** (1.0 / p)
 
 
 def optimal_coupling_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-    """Monotone (quantile) plan; optimal for |x - y|^p simultaneously for all p >= 1."""
+    """Monotone (quantile) plan, optimal for |x - y|^p for every p >= 1; cells
+    of mass at most MASS_DROP_TOL (rounding slivers) are dropped."""
+    (i, j), mass = quantile_cells(mu.weights, nu.weights)
     matrix = np.zeros((len(mu), len(nu)))
-    for i, j, mass in _quantile_merge(mu, nu):
-        matrix[i, j] += mass
+    matrix[i, j] = np.where(mass > MASS_DROP_TOL, mass, 0.0)
     return TransportPlan(mu, nu, matrix)
 
 
@@ -96,30 +95,22 @@ def north_west_start(source_w: np.ndarray, target_w: np.ndarray, extra_rows: int
     plan, over an LP whose variables begin with a row-major m x k grid and
     whose rows begin with ``grid_rows(m, k)``.
 
-    The plan's m + k - 1 cells run in a staircase from (0, 0) to
-    (m - 1, k - 1) that steps down when the source's cumulative mass falls
-    short of the target's and right otherwise; cells where both run out
-    together carry zero mass.  They are a basis of the transportation rows
-    less the last column sum (Dantzig 1963), and they meet every grid row.
+    The plan's m + k - 1 cells are ``quantile_cells(target_w, source_w)``: a
+    staircase from (0, 0) to (m - 1, k - 1) that steps down when the source's
+    cumulative mass falls short of the target's and right otherwise, so a tie
+    steps right and carries zero mass.  The cells are a basis of the
+    transportation rows less the last column sum (Dantzig 1963), and they meet
+    every grid row.
 
     Returns (start, plan).  ``start`` puts the cells on the m row-sum rows and
     on column-sum rows 0..k-2; the last column sum (the row the rank pass
     drops) and the ``extra_rows`` rows after the grid rows get -1, so they
     keep an artificial.  ``plan`` is the m x k mass matrix.
     """
-    cum_s, cum_t = np.cumsum(source_w), np.cumsum(target_w)
-    m, k = cum_s.size, cum_t.size
-    rows, cols = [0], [0]
-    while rows[-1] < m - 1 or cols[-1] < k - 1:
-        i, j = rows[-1], cols[-1]
-        down = j == k - 1 or (i < m - 1 and cum_s[i] < cum_t[j])
-        rows.append(i + down)
-        cols.append(j + (not down))
-    rows, cols = np.array(rows), np.array(cols)
-    upper = np.minimum(cum_s[rows], cum_t[cols])
-    lower = np.maximum(np.r_[0.0, cum_s][rows], np.r_[0.0, cum_t][cols])
+    (cols, rows), mass = quantile_cells(target_w, source_w)
+    m, k = len(source_w), len(target_w)
     plan = np.zeros((m, k))
-    plan[rows, cols] = np.maximum(upper - lower, 0.0)
+    plan[rows, cols] = mass
     start = np.full(m + k + extra_rows, -1)
     start[: rows.size] = rows * k + cols
     return start, plan

@@ -10,6 +10,8 @@ outputs on purpose (and say why in CHANGES.md)::
     PYTHONPATH=src python tests/test_golden.py --diff
     PYTHONPATH=src python tests/test_golden.py --write
 
+``--diff`` exits 1 when any case moves and 0 when none does.
+
 ``--write`` writes an input only when it is missing; delete an input file to
 redraw it.
 """
@@ -196,15 +198,17 @@ def _decode(out: bytes) -> dict:
     return numbers
 
 
-def _diff_expected():
+def _diff_expected() -> int:
     """Print, per expected file whose bytes would change, the change in
     support size and the largest absolute and relative change of each field
-    (list indices and point coordinates folded)."""
+    (list indices and point coordinates folded).  Returns how many moved."""
+    moved = 0
     for name, argv, exit_code in CASES:
         code, out = _run(argv)
         old = (EXPECTED / f"{name}.out").read_bytes()
         if code == exit_code and out == old:
             continue
+        moved += 1
         before, after = _decode(old), _decode(out)
         support = [sum(".points[" in key for key in side) for side in (before, after)]
         print(f"{name}: exit {code} (expected {exit_code}), support {support[0]} -> {support[1]}")
@@ -219,13 +223,34 @@ def _diff_expected():
         for field, (delta, rel) in fields.items():
             if delta:
                 print(f"  {field}: max |d| {delta:.3g}, max rel {rel:.3g}")
+    return moved
+
+
+def _command(argv) -> int:
+    """Exit code of ``python tests/test_golden.py``: ``--diff`` gives 1 when
+    any case moves and 0 when none does."""
+    if argv == ["--write"]:
+        _write_inputs()
+        _write_expected()
+        return 0
+    if argv == ["--diff"]:
+        return int(_diff_expected() > 0)
+    raise SystemExit("usage: python tests/test_golden.py --write | --diff")
+
+
+def test_diff_exits_1_when_a_case_moves(tmp_path, monkeypatch, capsys):
+    module, frozen = sys.modules[__name__], EXPECTED
+    monkeypatch.setattr(module, "CASES", [c for c in CASES if c[0] in ("check-1", "nd-dist-p1")])
+    monkeypatch.setattr(module, "EXPECTED", tmp_path)
+    for name, _, _ in module.CASES:
+        (tmp_path / f"{name}.out").write_bytes((frozen / f"{name}.out").read_bytes())
+    assert _command(["--diff"]) == 0
+    assert capsys.readouterr().out == ""
+    moved = tmp_path / "nd-dist-p1.out"
+    moved.write_bytes(moved.read_bytes().replace(b"}", b" }", 1))
+    assert _command(["--diff"]) == 1
+    assert capsys.readouterr().out.startswith("nd-dist-p1: exit 0 (expected 0)")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--write"]:
-        _write_inputs()
-        _write_expected()
-    elif sys.argv[1:] == ["--diff"]:
-        _diff_expected()
-    else:
-        raise SystemExit("usage: python tests/test_golden.py --write | --diff")
+    sys.exit(_command(sys.argv[1:]))

@@ -20,6 +20,9 @@ KEPT = {
     ("nested.py", "make_coupling"):
         "perfbench/tracing.py traces the name motline.nested.make_coupling; "
         "project_to_martingale builds its coupling through transport.grid_coupling",
+    ("nested.py", "w_p_1d"):
+        "perfbench/tracing.py traces the name motline.nested.w_p_1d; "
+        "nested_w_p reads its inner costs off one quantile_cells staircase",
 }
 
 

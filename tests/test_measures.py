@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motline import (
     InputError,
@@ -18,6 +20,8 @@ from motline import (
     product_coupling,
     random_convex_pair,
 )
+from motline.measures import MASS_DROP_TOL, quantile_cells
+from motline.transport import north_west_start
 
 TOL = 1e-12
 
@@ -123,6 +127,60 @@ def test_hoeffding_frechet_breakpoint_merge():
     pi = hoeffding_frechet(make_measure([0, 1], [0.25, 0.75]), make_measure([0, 2], [0.5, 0.5]))
     assert (pi.x1.tolist(), pi.x2.tolist()) == ([0.0, 1.0, 1.0], [0.0, 0.0, 2.0])
     assert np.max(np.abs(pi.w - [0.25, 0.25, 0.5])) <= TOL
+
+
+def test_hoeffding_frechet_drops_sliver_cells():
+    # the cumulative weights 0.1 + 0.2 and 0.3 differ by rounding only: the
+    # staircase has a sliver cell at (1, 1.5) that carries no real mass
+    mu = make_measure([0, 1, 2], [0.1, 0.2, 0.7])
+    nu = make_measure([0.5, 1.5], [0.3, 0.7])
+    _, mass = quantile_cells(mu.weights, nu.weights)
+    assert 0 < mass[2] <= MASS_DROP_TOL
+    pi = hoeffding_frechet(mu, nu)
+    assert (pi.x1.tolist(), pi.x2.tolist()) == ([0.0, 1.0, 2.0], [0.5, 0.5, 1.5])
+
+
+# positive weight vectors of 1..6 atoms, normalised to mass 1
+_WEIGHTS = st.lists(st.integers(1, 1000), min_size=1, max_size=6).map(
+    lambda w: np.array(w, dtype=float) / sum(w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WEIGHTS, _WEIGHTS)
+def test_quantile_cells_of_two_vectors_are_a_staircase(a, b):
+    (i, j), mass = quantile_cells(a, b)
+    m, k = len(a), len(b)
+    assert i.size == j.size == mass.size == m + k - 1
+    assert (i[0], j[0], i[-1], j[-1]) == (0, 0, m - 1, k - 1)
+    assert np.all(np.diff(i) + np.diff(j) == 1) and np.all(np.diff(i) >= 0)
+    assert np.all(mass >= 0)
+    assert np.max(np.abs(np.bincount(i, mass, minlength=m) - a)) <= 1e-15
+    assert np.max(np.abs(np.bincount(j, mass, minlength=k) - b)) <= 1e-15
+
+
+def test_quantile_cells_break_ties_in_argument_order():
+    # on an exact tie the first vector steps first; north_west_start passes
+    # the target first, so its staircase steps right: (0,0), (0,1), (1,1)
+    (i, j), mass = quantile_cells([0.5, 0.5], [0.5, 0.5])
+    assert (i.tolist(), j.tolist(), mass.tolist()) == ([0, 1, 1], [0, 0, 1], [0.5, 0.0, 0.5])
+    start, plan = north_west_start(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    assert start.tolist() == [0, 1, 3, -1]
+    assert plan.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_WEIGHTS, min_size=3, max_size=4))
+def test_quantile_cells_of_many_vectors_refine_every_pair(weights):
+    index, mass = quantile_cells(*weights)
+    assert index.shape == (len(weights), mass.size)
+    for a in range(len(weights)):
+        for b in range(a + 1, len(weights)):
+            (i, j), pair_mass = quantile_cells(weights[a], weights[b])
+            joint = np.zeros((len(weights[a]), len(weights[b])))
+            np.add.at(joint, (index[a], index[b]), mass)
+            pair = np.zeros_like(joint)
+            pair[i, j] = pair_mass
+            assert np.max(np.abs(joint - pair)) <= 1e-15
 
 
 def test_is_monotone_support():

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from motline import (
     ConvexOrderError,
+    CostSpec,
     barycentre_report,
     identity_coupling,
     is_martingale,
     make_coupling,
     make_measure,
+    mot_solve,
     nd_lower_bound,
     nested_w_p,
     point_mass,
@@ -17,6 +21,7 @@ from motline import (
     random_convex_pair,
     random_coupling,
     rearrange,
+    solve_transport,
     w_p_1d,
     w_p_plane,
 )
@@ -62,6 +67,49 @@ def test_nested_plan_cost_consistency():
             total += outer_mass * (abs(a_items[i][0] - b_items[j][0]) + inner.cost_p(1.0))
         assert abs(total - plan.cost) <= 1e-7
         assert abs(value - plan.cost) <= 1e-7  # p = 1
+
+
+def _nested_lp_oracle(pi, rho, p):
+    # the definition written out: every inner cost a transportation LP under
+    # |x - y|^p, then the outer LP over |x1 - y1|^p + inner cost
+    a_items, b_items = pi.kernel_items(), rho.kernel_items()
+    cost = np.zeros((len(a_items), len(b_items)))
+    for i, (x, _, ka) in enumerate(a_items):
+        for j, (y, _, kb) in enumerate(b_items):
+            inner = np.abs(ka.atoms[:, None] - kb.atoms[None, :]) ** p
+            cost[i, j] = abs(x - y) ** p + solve_transport(inner, ka.weights, kb.weights)[0]
+    value, _ = solve_transport(cost, pi.first_marginal.weights, rho.first_marginal.weights)
+    return max(value, 0.0) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_nested_matches_the_lp_oracle(m):
+    mu, nu = random_convex_pair(m, m, 2 * m)
+    pi = random_coupling(m + 100, mu, nu)
+    rho = mot_solve(mu, nu, CostSpec.absolute())[1]
+    for p in (1.0, 2.0):
+        value, plan = nested_w_p(pi, rho, p)
+        assert value == pytest.approx(_nested_lp_oracle(pi, rho, p), rel=1e-12)
+        assert plan.cost == pytest.approx(value**p, rel=1e-12)
+
+
+def test_nested_memory_stays_of_the_outer_lp_size():
+    # two 40 x 40 product couplings: the joint staircase has 1 + 80 * 39
+    # segments, and an m x m x segments broadcast of it would take 40 MB;
+    # the outer LP's tableau alone has (40 + 40) rows x 1600 columns
+    rng = np.random.default_rng(5)
+    pi, rho = (product_coupling(make_measure(np.sort(rng.normal(size=40)), rng.random(40) + 0.1),
+                                make_measure(np.sort(rng.normal(size=40)), rng.random(40) + 0.1))
+               for _ in range(2))
+    tableau_bytes = 80 * 1600 * 8
+    tracemalloc.start()
+    try:
+        value, _ = nested_w_p(pi, rho, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0
+    assert peak <= 8 * tableau_bytes
 
 
 def test_nested_dominates_plane():

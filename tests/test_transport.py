@@ -21,7 +21,8 @@ from motline import (
     w_p_plane,
 )
 
-from motline.transport import grid_rows
+from motline.measures import MASS_DROP_TOL
+from motline.transport import grid_rows, north_west_start
 
 from conftest import transport_bruteforce, transport_system
 
@@ -87,6 +88,18 @@ def test_optimal_coupling_1d_examples():
 
     plan = optimal_coupling_1d(make_measure([0, 1], [0.25, 0.75]), make_measure([0, 2], [0.5, 0.5]))
     assert np.allclose(plan.matrix, [[0.25, 0.0], [0.25, 0.5]])
+
+
+def test_sliver_cells_are_dropped_from_plans_and_kept_in_the_start_basis():
+    # 0.1 + 0.2 and 0.3 differ by rounding only, which leaves a sliver cell
+    mu = make_measure([0, 1, 2], [0.1, 0.2, 0.7])
+    nu = make_measure([0.5, 1.5], [0.3, 0.7])
+    start, plan = north_west_start(mu.weights, nu.weights)
+    assert start[: len(mu) + len(nu) - 1].tolist() == [0, 2, 3, 5]
+    assert 0 < plan[1, 1] <= MASS_DROP_TOL
+    matrix = optimal_coupling_1d(mu, nu).matrix
+    assert matrix[1, 1] == 0.0
+    assert np.count_nonzero(matrix) == 3
 
 
 def test_optimal_coupling_cost_matches_distance():
