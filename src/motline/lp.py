@@ -73,18 +73,18 @@ class LinearProgram:
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     """``pivots`` counts the pivots of phase 1 (including those that drive
-    leftover artificials out of the basis) and of phase 2; ``rebuilds``
-    counts the tableaus rebuilt from the original rows after phase 1 (0 or
-    1) and in the phase-2 refinement; ``dropped_rows`` counts the rows found
-    dependent, by the rank pass or when phase 1 drives out the artificials.
-    For a fixed program and start they are reproducible, like the solution."""
+    leftover artificials out of the basis) and of phase 2; ``rebuilds`` is 1
+    when the tableau was rebuilt from the original rows after phase 1, else
+    0; ``dropped_rows`` counts the rows found dependent, by the rank pass or
+    when phase 1 drives out the artificials.  For a fixed program and start
+    they are reproducible, like the solution."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]
     objective: Optional[float]
     max_violation: float = 0.0
     pivots: tuple = (0, 0)
-    rebuilds: tuple = (0, 0)
+    rebuilds: int = 0
     dropped_rows: int = 0
 
 
@@ -349,57 +349,35 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
         a = a[keep_rows]
         b = b[keep_rows]
 
-    # phase 2 with iterative basis refinement: tableau updates drift over many
-    # pivots, so after each simplex run the basic solution and reduced costs
-    # are recomputed exactly from the original rows; if that exact view is not
-    # optimal yet, the tableau is rebuilt from the basis and pivoting resumes
+    # phase 2, then one exact view of its basis from the original rows:
+    # least squares gives the returned point, and an LU solve the dual
     costs = lp.objective
-    allowed = np.ones(n, dtype=bool)
     m_kept = a.shape[0]
-    scale = 1.0 + float(np.max(np.abs(costs)))
-    seen = set()
-    pivots2 = rebuild2 = 0
-    for _ in range(8):
-        _set_objective_row(tableau, basis, costs)
-        status, run = _run_simplex(tableau, basis, allowed)
-        pivots2 += run
-        if status == "unbounded":
-            return LpSolution("unbounded", None, None, pivots=(pivots1, pivots2),
-                              rebuilds=(rebuild1, rebuild2), dropped_rows=m_rows - m_kept)
-        basis_cols = a[:, basis]
-        # least squares gives the returned point; the dual and the rebuilds
-        # only steer the simplex, and LU solves serve them
-        xb, *_ = np.linalg.lstsq(basis_cols, b, rcond=None)
-        dual = _basis_solve(basis_cols.T, costs[basis], "phase-2 dual")
-        reduced = costs - dual @ a
-        x = np.zeros(n)
-        x[basis] = np.maximum(xb, 0.0)
-        key = tuple(np.sort(basis))
-        xb_min = float(xb.min()) if xb.size else 0.0
-        if reduced.min() >= -1e-9 * scale and xb_min >= -1e-8:
-            break
-        if key in seen:
-            break  # tableau and exact view disagree within noise; keep exact
-        seen.add(key)
-        fresh = _basis_solve(basis_cols, np.column_stack([a, b]), "phase-2 rebuild")
-        rebuild2 += 1
-        tableau = np.zeros((m_kept + 1, n + 1))
-        tableau[:m_kept] = fresh
-        tableau[np.arange(m_kept), basis] = 1.0
-    else:
-        raise InternalError("phase-2 refinement did not converge")
+    _set_objective_row(tableau, basis, costs)
+    status, pivots2 = _run_simplex(tableau, basis, np.ones(n, dtype=bool))
+    if status == "unbounded":
+        return LpSolution("unbounded", None, None, pivots=(pivots1, pivots2),
+                          rebuilds=rebuild1, dropped_rows=m_rows - m_kept)
+    basis_cols = a[:, basis]
+    xb, *_ = np.linalg.lstsq(basis_cols, b, rcond=None)
+    dual = _basis_solve(basis_cols.T, costs[basis], "phase-2 dual")
+    if np.min(costs - dual @ a) < -1e-9 * (1.0 + float(np.max(np.abs(costs)))):
+        raise InternalError("phase-2 basis is not optimal in the exact view")
+    x = np.zeros(n)
+    x[basis] = np.maximum(xb, 0.0)
 
     objective = float(np.dot(lp.objective, x))
     violation = float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))) if m_rows else 0.0
     return LpSolution("optimal", x, objective, max_violation=violation,
-                      pivots=(pivots1, pivots2), rebuilds=(rebuild1, rebuild2),
+                      pivots=(pivots1, pivots2), rebuilds=rebuild1,
                       dropped_rows=m_rows - m_kept)
 
 
-def check_point(sol: LpSolution, name: str, row_scale: float = 1.0) -> None:
+def check_point(sol: LpSolution, name: str) -> None:
     """Raise InternalError unless ``sol`` is optimal and breaks no row by more
-    than FEAS_TOL in units of ``row_scale``; ``name`` names the LP."""
+    than FEAS_TOL; ``name`` names the LP.  Every caller writes its rows in
+    units of masses and of nu's span (``transport.unit_gaps``)."""
     if sol.status != "optimal":
         raise InternalError(f"{name} LP reported {sol.status}")
-    if sol.max_violation > FEAS_TOL * row_scale:
+    if sol.max_violation > FEAS_TOL:
         raise InternalError(f"{name} LP point breaks its rows by {sol.max_violation:.3g}")

@@ -287,11 +287,15 @@ def is_martingale(pi: DiscreteCoupling, tol_mart: float = DEFAULT_TOL_MART) -> b
 
 
 def convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = CONVEX_ORDER_TOL) -> bool:
-    """Convex-order test: equal means and dominated call values at every atom.
+    """Convex-order test: equal means and dominated call values at every atom,
+    both within tol * max(1, nu's span), the frame of ``transport.unit_gaps``,
+    plus a few ulps of the radius for the rounding of the atoms themselves.
 
     The call-value gap is piecewise linear with kinks only at atoms, so
     checking strikes in the union of the two supports is exact.
     """
+    tol = (tol * max(1.0, float(nu.atoms[-1] - nu.atoms[0]))
+           + 16 * np.finfo(float).eps * max(mu.support_radius, nu.support_radius))
     if abs(mu.mean - nu.mean) > tol:
         return False
     strikes = np.union1d(mu.atoms, nu.atoms)

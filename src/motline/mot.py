@@ -19,7 +19,7 @@ from .measures import (
     make_coupling,
 )
 from .transport import (GRID_DROP, TransportPlan, coupling_grid, grid_coupling, grid_rows,
-                        north_west_start, solve_transport)
+                        north_west_start, solve_transport, unit_gaps)
 
 IMPROVE_TOL = 1e-7
 
@@ -86,19 +86,10 @@ class CostSpec:
         return np.broadcast_to(grid, (len(mu), len(nu))).copy()
 
 
-def _row_scale(*measures: DiscreteMeasure) -> float:
-    """Unit in which a row violation is judged when barycentre rows carry the
-    atoms as coefficients: max(1, max |atom|).  An accurate vertex breaks
-    such a row by rounding in proportion to the atoms, so an absolute
-    FEAS_TOL would reject it on wide supports."""
-    return max(1.0, *(float(np.max(np.abs(m.atoms))) for m in measures))
-
-
 def _martingale_system(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Equality system (marginals + martingale rows) over the mu x nu grid."""
-    gaps = nu.atoms[None, :] - mu.atoms[:, None]
     b = np.concatenate([mu.weights, nu.weights, np.zeros(len(mu))])
-    return grid_rows(len(mu), len(nu), [gaps]), b
+    return grid_rows(len(mu), len(nu), [unit_gaps(mu, nu)[0]]), b
 
 
 def _solve_martingale_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, objective: np.ndarray):
@@ -118,7 +109,7 @@ def mot_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
     sol = _solve_martingale_lp(mu, nu, cost.matrix_for(mu, nu).ravel())
     if sol.status == "infeasible":
         raise ConvexOrderError("marginals are not in convex order")
-    check_point(sol, "martingale", _row_scale(mu, nu))
+    check_point(sol, "martingale")
     masses = sol.x.reshape(len(mu), len(nu))
     return sol.objective, grid_coupling(mu, nu, masses, GRID_DROP)
 
@@ -146,7 +137,7 @@ def penalized_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, L: fl
     """
     m, k = len(mu), len(nu)
     n_pi = m * k  # then one epigraph variable t_i per first-marginal atom, then 3m slacks
-    gaps = nu.atoms[None, :] - mu.atoms[:, None]
+    gaps, span = unit_gaps(mu, nu)  # so t_i is in units of span
     rows = grid_rows(m, k, [gaps, -gaps])
     a = np.zeros((m + k + 3 * m, n_pi + 4 * m))
     a[: m + k, :n_pi] = rows[: m + k]
@@ -167,14 +158,14 @@ def penalized_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, L: fl
     negative = np.sum(plan * gaps, axis=1) < 0
     start[m + k + m + 2 * np.arange(m) + negative] = n_pi + np.arange(m)
 
-    objective = np.concatenate([cost.matrix_for(mu, nu).ravel(), np.full(m, float(L)),
+    objective = np.concatenate([cost.matrix_for(mu, nu).ravel(), np.full(m, float(L) * span),
                                 np.zeros(3 * m)])
     sol = solve_lp(LinearProgram(objective=objective, a_eq=a,
                                  b_eq=np.concatenate([mu.weights, nu.weights, np.zeros(3 * m)])),
                    start=start)
     if sol.status == "infeasible":
         raise ConvexOrderError("no dispersion-feasible coupling: marginals not in convex order")
-    check_point(sol, "penalized", _row_scale(mu, nu))
+    check_point(sol, "penalized")
     return sol.objective
 
 
@@ -260,14 +251,15 @@ def kappa_solve_bruteforce(kappa: KappaSpec, mu: DiscreteMeasure, nu: DiscreteMe
     return float(best_value), best_coupling
 
 
-def _competitor_system(grid: np.ndarray, sb: DiscreteMeasure):
+def _competitor_system(grid: np.ndarray, sa: DiscreteMeasure, sb: DiscreteMeasure):
     """Rows pinning the row masses, the column masses and the row barycentre
-    integrals of a grid over the atoms of ``sb``, with their right-hand sides."""
-    m, k = grid.shape
-    rows = grid_rows(m, k, [np.broadcast_to(sb.atoms, (m, k))])
-    # one dot per row: grid @ atoms may round the last bit differently
-    moments = [np.dot(row, sb.atoms) for row in grid]
-    return rows, np.concatenate([grid.sum(axis=1), grid.sum(axis=0), moments])
+    deviations sum_j q_ij (y_j - x_i) / span (``unit_gaps``) of a grid over
+    sa x sb, with the grid's own sums as right-hand sides."""
+    gaps, _ = unit_gaps(sa, sb)
+    # one dot per row: a matrix product may round the last bit differently
+    moments = [np.dot(row, gap) for row, gap in zip(grid, gaps)]
+    return (grid_rows(*grid.shape, [gaps]),
+            np.concatenate([grid.sum(axis=1), grid.sum(axis=0), moments]))
 
 
 def _single_competitor(rows, cols) -> bool:
@@ -306,7 +298,9 @@ def _single_competitor(rows, cols) -> bool:
 def competitor_improve(alpha: DiscreteCoupling, cost: CostSpec,
                        tol: float = IMPROVE_TOL) -> Optional[DiscreteCoupling]:
     """Search for a cheaper measure with the same marginals and the same
-    conditional barycentres; returns it when the cost drops by more than tol.
+    conditional barycentres; returns it when the cost drops by more than
+    tol * max(1, sum of alpha * |cost|), the scale of the round-off in both
+    costs, so that round-off is no saving even where the cost cancels.
 
     When no wide row's hull (the columns from its first atom to its last)
     holds an atom of another row, alpha is the only such measure, whatever
@@ -321,11 +315,12 @@ def competitor_improve(alpha: DiscreteCoupling, cost: CostSpec,
     m, k = len(sa), len(sb)
     cost_matrix = cost.matrix_for(sa, sb)
     current = float(np.sum(grid * cost_matrix))
+    size = float(np.sum(grid * np.abs(cost_matrix)))
 
-    a_eq, b_eq = _competitor_system(grid, sb)
+    a_eq, b_eq = _competitor_system(grid, sa, sb)
     sol = solve_lp(LinearProgram(objective=cost_matrix.ravel(), a_eq=a_eq, b_eq=b_eq))
-    check_point(sol, "competitor", _row_scale(sa, sb))
-    if sol.objective < current - tol:
+    check_point(sol, "competitor")
+    if sol.objective < current - tol * max(1.0, size):
         return grid_coupling(sa, sb, sol.x.reshape(m, k), GRID_DROP)
     return None
 
@@ -376,7 +371,7 @@ def _dual_witness(pi: DiscreteCoupling, cost: CostSpec):
     merge them off pi's grid, so ``low`` is -inf and nothing is certified.
     """
     mu, nu, grid = coupling_grid(pi)
-    a, _ = _competitor_system(grid, nu)
+    a, _ = _competitor_system(grid, mu, nu)
     c = cost.matrix_for(mu, nu).ravel()
     y = _support_dual(a, c, np.flatnonzero(grid))
     r = c - y @ a
@@ -479,15 +474,15 @@ def kappa_competitor_improve(alpha: DiscreteCoupling, gammas: Sequence[Transport
     row masses, its column sums are alpha's second marginal, and the block
     sums of its barycentre rows pin alpha's conditional barycentres.  The
     competitor is the block column sums.  Returns (competitor, new inner
-    plans in the same order) when the objective drops by more than tol, else
-    None.
+    plans in the same order) when the objective drops by more than
+    tol * max(1, sum of the inner plans * |objective|), else None.
     """
     sa, sb, grid = coupling_grid(alpha)
     m, k = len(sa), len(sb)
     if len(gammas) != m:
         raise InputError(f"need {m} inner plans, one per first-marginal atom, not {len(gammas)}")
     refs = []
-    current = 0.0
+    current = size = 0.0
     for (x1, weight, kernel), plan in zip(alpha.kernel_items(), gammas):
         ref = kappa.kernel(x1)
         if (len(plan.source) != len(ref)
@@ -497,22 +492,24 @@ def kappa_competitor_improve(alpha: DiscreteCoupling, gammas: Sequence[Transport
                 or np.max(np.abs(plan.target.atoms - kernel.atoms)) > 1e-12
                 or np.max(np.abs(plan.target.weights - kernel.weights)) > 1e-9):
             raise InputError(f"inner plan at {x1!r} does not couple the required laws")
-        current += weight * float(np.sum(plan.matrix * _chat_matrix(kappa, x1, ref, kernel)))
+        chat = _chat_matrix(kappa, x1, ref, kernel)
+        current += weight * float(np.sum(plan.matrix * chat))
+        size += weight * float(np.sum(plan.matrix * np.abs(chat)))
         refs.append(ref)
 
     # inner plan i is the block of source rows from starts[i]
     sizes = [len(ref) for ref in refs]
     starts, n_src = np.cumsum([0] + sizes[:-1]), sum(sizes)
-    rows = grid_rows(n_src, k, [np.broadcast_to(sb.atoms, (n_src, k))])
-    _, rhs = _competitor_system(grid, sb)
+    _, rhs = _competitor_system(grid, sa, sb)
+    rows = grid_rows(n_src, k, [np.repeat(unit_gaps(sa, sb)[0], sizes, axis=0)])
     a_eq = np.vstack([rows[: n_src + k], np.add.reduceat(rows[n_src + k :], starts)])
     b_eq = np.concatenate([rhs[i] * ref.weights for i, ref in enumerate(refs)] + [rhs[m:]])
     objective = np.concatenate([_chat_matrix(kappa, x1, ref, sb).ravel()
                                 for x1, ref in zip(sa.atoms.tolist(), refs)])
 
     sol = solve_lp(LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq))
-    check_point(sol, "kappa competitor", _row_scale(sa, sb))
-    if sol.objective >= current - tol:
+    check_point(sol, "kappa competitor")
+    if sol.objective >= current - tol * max(1.0, size):
         return None
     target = np.add.reduceat(sol.x.reshape(n_src, k), starts)
     competitor = grid_coupling(sa, sb, target, GRID_DROP)

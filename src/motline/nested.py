@@ -18,7 +18,8 @@ from .measures import (
     quantile_cells,
 )
 from .transport import (GRID_DROP, TransportPlan, _require_p, grid_coupling, grid_rows,
-                        north_west_start, optimal_coupling_1d, solve_transport, w_p_1d)
+                        north_west_start, optimal_coupling_1d, solve_transport, unit_gaps,
+                        w_p_1d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +120,8 @@ def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
         cdf[i, np.searchsorted(nu.atoms, kernel.atoms)] = weight * kernel.weights
     cdf = np.cumsum(cdf, axis=1)[:, : k - 1]
 
-    # lengths in units of the second marginal's span: the LP is homogeneous
-    # in scale, and the simplex tolerances are absolute
-    span = float(nu.atoms[-1] - nu.atoms[0]) if k > 1 else 1.0
+    # lengths in units of the second marginal's span (``unit_gaps``)
+    gaps, span = unit_gaps(mu, nu)
     n_tgt, n_gap = m * k, m * (k - 1)
     a_eq = np.zeros((n_gap + 2 * m + k, n_tgt + 2 * n_gap))
     # cumulative rows: T_r(b) + e+[i, b] - e-[i, b] = F_i(b)
@@ -132,7 +132,7 @@ def _projection_lp(pi: DiscreteCoupling, pairing: Optional[list] = None):
         a_eq[rows, n_tgt + rows] = 1.0
         a_eq[rows, n_tgt + n_gap + rows] = -1.0
     # target row sums, column sums and martingale rows
-    a_eq[n_gap:, :n_tgt] = grid_rows(m, k, [(nu.atoms[None, :] - mu.atoms[:, None]) / span])
+    a_eq[n_gap:, :n_tgt] = grid_rows(m, k, [gaps])
     b_eq = np.concatenate([cdf.ravel(), mu.weights, nu.weights, np.zeros(m)])
     objective = np.concatenate([np.zeros(n_tgt), np.tile(np.diff(nu.atoms) / span, 2 * m)])
 

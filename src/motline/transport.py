@@ -90,6 +90,18 @@ def grid_rows(m: int, k: int, extra=()) -> np.ndarray:
     return rows
 
 
+def unit_gaps(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The m x k displacements (y_j - x_i) / span and span, nu's atom range
+    (1 when nu has one atom).
+
+    Every barycentre row takes its coefficients from here, so each LP over
+    couplings is the same under x -> s x + d and its rows are judged in units
+    of nu's span by the simplex's absolute tolerances.
+    """
+    span = float(nu.atoms[-1] - nu.atoms[0]) if len(nu) > 1 else 1.0
+    return (nu.atoms[None, :] - mu.atoms[:, None]) / span, span
+
+
 def north_west_start(source_w: np.ndarray, target_w: np.ndarray, extra_rows: int = 0):
     """Starting basis for ``solve_lp`` from the north-west-corner (quantile)
     plan, over an LP whose variables begin with a row-major m x k grid and

@@ -44,6 +44,21 @@ def highs(objective, a_eq, b_eq):
                             "dual_feasibility_tolerance": 1e-10})
 
 
+def built_lp(monkeypatch, module, call):
+    """The program and start that ``call`` hands to ``module.solve_lp``."""
+    seen = []
+    original = module.solve_lp
+
+    def record(lp, start=None):
+        seen.append((lp, start))
+        return original(lp, start=start)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "solve_lp", record)
+        call()
+    return seen[-1]
+
+
 def transport_system(source_w, target_w):
     """Equality system of the transportation polytope."""
     n1, n2 = len(source_w), len(target_w)

@@ -716,7 +716,7 @@ def test_competitor_lp_counts_on_mot_batch_sizes(monkeypatch):
         lps.clear()
         assert monotonicity_check(optimizer, cost, 40, 4, m).n_violations == 0
         counts.append(len(lps))
-    assert counts == [8, 1, 1, 0, 1, 1, 1, 4]
+    assert counts == [8, 1, 1, 0, 1, 1, 1, 3]
 
 
 def _witness_cases(radius):
@@ -804,8 +804,9 @@ def test_support_dual_bound_in_exact_rationals(monkeypatch):
     bound = mot._improvement_bound(mot._dual_witness(pi, cost), idx, w)
     assert bound <= mot.IMPROVE_TOL / 2
 
-    # the same bound, r.alpha - min(0, min r on alpha's cells), in fractions
-    _, _, _, a_eq, _ = _competitor_system(pi)
+    # the same bound, r.alpha - min(0, min r on alpha's cells), in fractions,
+    # over the rows the package writes
+    a_eq, _ = mot._competitor_system(coupling_grid(pi)[2], mu, nu)
     c = cost.matrix_for(mu, nu).ravel()
     y = [Fraction(v) for v in duals[-1]]
 
@@ -853,26 +854,26 @@ def test_support_dual_certifies_nothing_where_atoms_may_merge(monkeypatch):
 # shortcut existed: (sample, indices, current cost, competitor cost)
 PINNED_VIOLATIONS = {
     "optimizer_call_0": (
-        (2, (1, 4, 5, 7), 1.556177504620138, 1.4886593330895184),
-        (4, (1, 4, 5, 7), 1.556177504620138, 1.4886593330895184),
-        (6, (1, 3, 4, 5), 1.9183634221648087, 1.8349413090133873),
-        (7, (1, 2, 3, 5), 1.7342656650646153, 1.6607697883438606),
-        (10, (0, 1, 3, 5), 1.1454953533023955, 1.0935800325263403)),
+        (2, (1, 4, 5, 7), 1.556177504620138, 1.4886593330895312),
+        (4, (1, 4, 5, 7), 1.556177504620138, 1.4886593330895312),
+        (6, (1, 3, 4, 5), 1.9183634221648087, 1.834941309013387),
+        (7, (1, 2, 3, 5), 1.7342656650646153, 1.6607697883438586),
+        (10, (0, 1, 3, 5), 1.1454953533023955, 1.0935800325263416)),
     "random_0": (
-        (1, (9, 12, 15, 16), 6.664554411280947, 6.563895654798646),
-        (2, (6, 11, 15, 18), 5.785815744780079, 5.512355822000686),
-        (12, (2, 7, 10, 15), 4.391882537745107, 4.312200920698111)),
+        (1, (9, 12, 15, 16), 6.664554411280947, 6.563895654798645),
+        (2, (6, 11, 15, 18), 5.785815744780079, 5.512355822000693),
+        (12, (2, 7, 10, 15), 4.391882537745107, 4.312200920698109)),
     "optimizer_call_1": (
-        (9, (3, 7, 8, 9), 3.0622574662278135, 2.9409539716027613),),
+        (9, (3, 7, 8, 9), 3.0622574662278135, 2.9409539716027675),),
     "random_1": (
-        (0, (2, 4, 8, 18), 7.958078768808723, 7.954683166323226),
-        (2, (3, 6, 12, 15), 3.548547703421285, 2.2587754494721173),
-        (5, (3, 7, 10, 18), 8.447218138210415, 8.025950762320733),
-        (10, (0, 7, 9, 14), 4.482374882331722, 4.371438340755817),
-        (13, (10, 13, 16, 22), 2.315708103385613, 1.8124583591869459),
-        (14, (6, 9, 16, 21), 4.089495100715073, 3.5414733582469897),
-        (15, (9, 15, 16, 18), 6.9126979775524715, 6.768593058788232)),
-    "suboptimal": tuple((s, (0, 1, 2, 3), 2.0, 1.3333333333333324) for s in range(4)),
+        (0, (2, 4, 8, 18), 7.958078768808723, 7.9546831663232265),
+        (2, (3, 6, 12, 15), 3.548547703421285, 2.258775449472118),
+        (5, (3, 7, 10, 18), 8.447218138210415, 8.025950762320738),
+        (10, (0, 7, 9, 14), 4.482374882331722, 4.37143834075582),
+        (13, (10, 13, 16, 22), 2.315708103385613, 1.8124583591869625),
+        (14, (6, 9, 16, 21), 4.089495100715073, 3.541473358246991),
+        (15, (9, 15, 16, 18), 6.9126979775524715, 6.7685930587882375)),
+    "suboptimal": tuple((s, (0, 1, 2, 3), 2.0, 1.3333333333333335) for s in range(4)),
 }
 
 
@@ -960,8 +961,9 @@ def test_mot_lps_reject_point_that_breaks_their_rows(monkeypatch, caller):
 
 
 def test_mot_row_checks_scale_with_the_atoms(monkeypatch):
-    # at radius 1e4 an accurate vertex breaks the barycentre rows by ~1e-9
-    # through rounding alone; both pairs raised under an absolute FEAS_TOL
+    # at radius 1e4 an accurate vertex broke barycentre rows that carried raw
+    # atoms by ~1e-9 through rounding alone; both pairs raised under an
+    # absolute FEAS_TOL before the rows were written in units of nu's span
     import motline.mot as mot
 
     original = mot.solve_lp
@@ -1029,8 +1031,9 @@ def test_penalized_ot_fails_loudly_off_its_rows():
 
 
 # random_convex_pair(seed, m, 2m, radius=1e4) with m = 4 + seed % 8, on which
-# penalized_ot raised under an absolute FEAS_TOL: its accurate points broke
-# the atom-sized deviation rows by rounding alone (1.1e-9 to 1.6e-7)
+# penalized_ot raised under an absolute FEAS_TOL while its deviation rows
+# carried raw atoms: its accurate points broke them by rounding alone (1.1e-9
+# to 1.6e-7)
 PENALIZED_WIDE_SEEDS = [2, 10, 37, 62, 84]
 
 
